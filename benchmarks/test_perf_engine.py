@@ -293,10 +293,8 @@ def test_batched_grid_speedup(results_dir):
     # The batched backend must never lose to the scalar loop — this is
     # the CI smoke gate; the >=10x full-trace target lives in the JSON
     # trajectory (compare per_config_seconds across runs).  The gate
-    # binds to the compiled-kernel tier: the pure-NumPy tier exists for
-    # correctness on compiler-less hosts, where it trades speed for
-    # having no build step at all, and is pinned by the equivalence
-    # suite rather than a perf floor.
+    # binds to the compiled kernel: without a C compiler the batch runs
+    # the scalar engine itself, so there is no speedup to gate.
     if kernel_available():
         assert speedup > 1.0
 
@@ -370,9 +368,8 @@ def test_cyclesim_single_run_speed(results_dir):
     """Time the optimized cycle simulator vs. its frozen reference.
 
     One 64C/500-cycle run per workload; the record (kind "cyclesim")
-    notes which tier ran — the compiled event-wheel kernel or the
-    pure-Python fast path — since the two sit an order of magnitude
-    apart.
+    notes whether the compiled kernel ran — without a C compiler
+    ``run_cyclesim`` is the reference itself.
     """
     import dataclasses
 
@@ -426,13 +423,11 @@ def test_cyclesim_single_run_speed(results_dir):
           f" kernel={compiled})")
     # CI perf-smoke gate: the compiled tier must hold >=3x even on
     # short smoke traces (the >=5x acceptance at the default 400k
-    # length is recorded in the JSON trajectory).  The pure-Python
-    # fast path exists for compiler-less hosts and wins by a narrower
-    # margin, so it only has to never lose to the reference.
-    if compiled:
-        assert speedup >= 3.0
-    else:
-        assert speedup > 1.0
+    # length is recorded in the JSON trajectory).
+    if not compiled:
+        pytest.skip("no C compiler: run_cyclesim runs the reference"
+                    " itself, so there is no speedup to gate")
+    assert speedup >= 3.0
 
 
 def test_cyclesim_grid_supervised_speedup(results_dir, tmp_path):

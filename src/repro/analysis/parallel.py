@@ -260,35 +260,34 @@ def shard_pairs(pairs, per_config_seconds, jobs):
 def _run_plan_chunk(handle, chunk, workload):
     """Worker: attach the shared plan and run one chunk of configs.
 
-    The compiled kernel (or the NumPy fallback engine) reads its
-    columns straight out of the shared mapping — the only pickles per
-    task are the machine configs in and the results out.
+    The compiled kernel reads its columns straight out of the shared
+    mapping — the only pickles per task are the machine configs in and
+    the results out.  A plan is kernel input: without the kernel
+    :func:`~repro.core.ckernel.run_plan` raises
+    :class:`~repro.robustness.errors.InternalError`.
     """
     from repro.analysis.shm import attach_plan
-    from repro.core.batched import simulate_plan
-    from repro.core.ckernel import kernel_available, run_plan
+    from repro.core.ckernel import run_plan
 
     attached = attach_plan(handle)
     try:
-        if kernel_available():
-            return run_plan(attached.plan, chunk, workload)
-        return {
-            label: simulate_plan(attached.plan, machine, workload)
-            for label, machine in chunk
-        }
+        return run_plan(attached.plan, chunk, workload)
     finally:
         attached.close()
 
 
 def batched_parallel_sweep(annotated, pairs, workload, progress, jobs,
                            journal=None, seed=None, trace_len=None):
-    """Zero-copy parallel sweep of batched-eligible *pairs*.
+    """Zero-copy parallel sweep of a batched grid.
 
-    The parent builds one columnar plan per event-mask group, publishes
-    each through :mod:`repro.analysis.shm`, measures the per-config
-    kernel cost on the first config, shards the rest into chunks of
-    roughly :data:`CHUNK_TARGET_SECONDS`, and fans the chunks out to a
-    worker pool.  Chunk results are flushed through *journal* (a
+    The parent builds one columnar plan per event-mask group of the
+    configs inside the kernel's envelope, publishes each through
+    :mod:`repro.analysis.shm`, measures the per-config kernel cost on
+    the first of them, shards the rest into chunks of roughly
+    :data:`CHUNK_TARGET_SECONDS`, and fans the chunks out to a worker
+    pool.  Configs outside the envelope (runahead machines) need the
+    annotated trace, so the parent runs them on the scalar engine while
+    the pool works.  Results are flushed through *journal* (a
     :class:`~repro.robustness.journal.SweepJournal`) as they arrive, so
     a crash loses at most one chunk of work.
 
@@ -300,12 +299,16 @@ def batched_parallel_sweep(annotated, pairs, workload, progress, jobs,
     lost workers.
     """
     from repro.analysis.shm import publish_plan, unpublish_plan
-    from repro.core.batched import simulate_batched
+    from repro.core.batched import batched_supported, simulate_batched
     from repro.core.columnar import mask_key, plan_for
 
     groups = {}
+    scalar_pairs = []
     for label, machine in pairs:
-        groups.setdefault(mask_key(machine), []).append((label, machine))
+        if batched_supported(machine):
+            groups.setdefault(mask_key(machine), []).append((label, machine))
+        else:
+            scalar_pairs.append((label, machine))
 
     try:
         ctx = multiprocessing.get_context("fork")
@@ -314,20 +317,22 @@ def batched_parallel_sweep(annotated, pairs, workload, progress, jobs,
 
     results = {}
     started = time.monotonic()
-    # Measure the per-config cost on the first config of the first
-    # group; the result is kept, so calibration is free work.
-    first_key = next(iter(groups))
-    first_label, first_machine = groups[first_key][0]
-    first_result, cost = measure_config_cost(
-        lambda: simulate_batched(
-            annotated, first_machine, workload=workload, _validate=False
+    remaining, cost = {}, 0.0
+    if groups:
+        # Measure the per-config cost on the first config of the first
+        # group; the result is kept, so calibration is free work.
+        first_label, first_machine = next(iter(groups.values()))[0]
+        first_result, cost = measure_config_cost(
+            lambda: simulate_batched(
+                annotated, first_machine, workload=workload,
+                _validate=False,
+            )
         )
-    )
-    results[first_label] = first_result
-    remaining = {
-        key: [p for p in group if p[0] != first_label]
-        for key, group in groups.items()
-    }
+        results[first_label] = first_result
+        remaining = {
+            key: [p for p in group if p[0] != first_label]
+            for key, group in groups.items()
+        }
 
     handles = {}
     executor = None
@@ -341,6 +346,7 @@ def batched_parallel_sweep(annotated, pairs, workload, progress, jobs,
         for key, group in remaining.items():
             for chunk in shard_pairs(group, cost, jobs):
                 tasks.append((handles[key], chunk))
+        futures = []
         if tasks:
             try:
                 executor = concurrent.futures.ProcessPoolExecutor(
@@ -354,25 +360,38 @@ def batched_parallel_sweep(annotated, pairs, workload, progress, jobs,
                 ))
                 for handle, chunk in tasks
             ]
-            for chunk, future in futures:
-                labels = ", ".join(label for label, _ in chunk)
-                try:
-                    chunk_results = future.result()
-                except Exception as exc:
-                    elapsed = time.monotonic() - started
-                    if executor is not None:
-                        executor.shutdown(wait=False, cancel_futures=True)
-                    raise SimulationError(
-                        f"sweep worker failed for configs [{labels}]"
-                        f" (attempt 1, after {elapsed:.1f}s): {exc}",
-                        field=chunk[0][0],
-                    ) from exc
-                results.update(chunk_results)
-                if journal is not None:
-                    _flush_chunk(
-                        journal, chunk, chunk_results, workload,
-                        seed, trace_len, time.monotonic() - started,
-                    )
+        if scalar_pairs:
+            scalar_results = {
+                label: simulate_batched(
+                    annotated, machine, workload=workload, _validate=False
+                )
+                for label, machine in scalar_pairs
+            }
+            results.update(scalar_results)
+            if journal is not None:
+                _flush_chunk(
+                    journal, scalar_pairs, scalar_results, workload,
+                    seed, trace_len, time.monotonic() - started,
+                )
+        for chunk, future in futures:
+            labels = ", ".join(label for label, _ in chunk)
+            try:
+                chunk_results = future.result()
+            except Exception as exc:
+                elapsed = time.monotonic() - started
+                if executor is not None:
+                    executor.shutdown(wait=False, cancel_futures=True)
+                raise SimulationError(
+                    f"sweep worker failed for configs [{labels}]"
+                    f" (attempt 1, after {elapsed:.1f}s): {exc}",
+                    field=chunk[0][0],
+                ) from exc
+            results.update(chunk_results)
+            if journal is not None:
+                _flush_chunk(
+                    journal, chunk, chunk_results, workload,
+                    seed, trace_len, time.monotonic() - started,
+                )
     finally:
         if executor is not None:
             executor.shutdown(wait=True, cancel_futures=True)
@@ -389,10 +408,13 @@ def batched_parallel_sweep(annotated, pairs, workload, progress, jobs,
 def _run_cycle_chunk(handle, chunk, workload):
     """Worker: attach the shared cycle plan and run one config chunk.
 
-    The compiled cyclesim kernel (or the interpreter tier) reads the
-    per-instruction tables straight out of the shared mapping — the
-    only pickles per task are the pipeline configs in and the
-    :class:`~repro.cyclesim.metrics.CycleMetrics` out.
+    The compiled cyclesim kernel reads the per-instruction tables
+    straight out of the shared mapping — the only pickles per task are
+    the pipeline configs in and the
+    :class:`~repro.cyclesim.metrics.CycleMetrics` out.  A plan is
+    kernel input: without the kernel
+    :func:`~repro.cyclesim.simulator.run_cycle_pairs` raises
+    :class:`~repro.robustness.errors.InternalError`.
     """
     from repro.analysis.shm import attach_plan
     from repro.cyclesim.simulator import run_cycle_pairs

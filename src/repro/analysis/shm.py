@@ -19,14 +19,17 @@ through the task pickle.
 
 Lifecycle is **parent-owned**: the process that called
 :func:`publish_plan` must call :func:`unpublish_plan` when the sweep is
-over — on success, on failure, and after killed workers alike (workers
-never unlink, and attaching deliberately unregisters the segment from
-their ``resource_tracker`` so a dying worker cannot tear the segment
-out from under its siblings).  ``tests/test_shared_memory.py`` pins
-this contract, including the SIGKILL case.
+over — on success, on failure, and after killed workers alike.  Workers
+never unlink.  They share the publisher's ``resource_tracker`` (fork,
+spawn and forkserver children all inherit it), which cleans up only
+once every process holding it has exited, so a dying worker cannot
+tear the segment out from under its siblings (see :func:`_untrack`).
+``tests/test_shared_memory.py`` pins this contract, including the
+SIGKILL case.
 """
 
 import dataclasses
+import multiprocessing
 import os
 import tempfile
 
@@ -191,6 +194,29 @@ def publish_plan(plan):
         return _publish_file(layout, size, columns)
 
 
+def _untrack(segment):
+    """Drop the ``resource_tracker`` registration an attach just made,
+    when the tracker is this process's own.
+
+    Attaching registers the segment with the process's tracker, which
+    would unlink it when that tracker shuts down — at the exit of a
+    process that started its own tracker, taking the segment from
+    everyone else.  A multiprocessing child instead shares its
+    parent's tracker, where the publisher's registration already stands
+    (its unlink clears it).  Unregistering there too would let two
+    workers race over that single entry, and the tracker would print
+    ``KeyError`` tracebacks.
+    """
+    if multiprocessing.parent_process() is not None:
+        return
+    try:
+        from multiprocessing import resource_tracker
+
+        resource_tracker.unregister(segment._name, "shared_memory")
+    except Exception:
+        pass
+
+
 def attach_plan(handle):
     """Attach to a published plan; returns an :class:`AttachedPlan`.
 
@@ -215,15 +241,7 @@ def attach_plan(handle):
                 f"shared plan segment {handle.name!r} is gone: {error}",
                 path=handle.name, field="shm",
             ) from error
-        # The publisher owns the segment's lifetime.  Python's
-        # resource_tracker would unlink it when *this* process exits,
-        # yanking it away from sibling workers — unregister our side.
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:
-            pass
+        _untrack(segment)
         buffer = segment.buf
     elif handle.kind == "file":
         try:
@@ -281,12 +299,7 @@ def plan_is_published(handle):
             segment = shared_memory.SharedMemory(name=handle.name)
         except (OSError, ValueError):
             return False
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:
-            pass
+        _untrack(segment)
         segment.close()
         return True
     return os.path.exists(handle.name)

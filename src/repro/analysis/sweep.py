@@ -70,17 +70,22 @@ class SweepResult:
 
 
 def _batched_usable(pairs):
-    """Can the batched engine accept this grid at all?
+    """Should this grid take the batched route?
 
-    A grid with a non-``MachineConfig`` entry (tests inject stand-ins
-    to exercise failure paths) routes to the scalar backends, whose
-    error contract such tests pin down.
+    Only when some config is inside the compiled kernel's envelope: a
+    grid of runahead machines, or any grid on a host without a C
+    compiler, would only replay the scalar engine serially, so it takes
+    the scalar route and keeps its worker pool.  A grid with a
+    non-``MachineConfig`` entry (tests inject stand-ins to exercise
+    failure paths) routes to the scalar backends too, whose error
+    contract such tests pin down.
     """
+    from repro.core.batched import batched_supported
     from repro.core.config import MachineConfig
 
     return all(
         isinstance(machine, MachineConfig) for _, machine in pairs
-    )
+    ) and any(batched_supported(machine) for _, machine in pairs)
 
 
 def _sweep_batched(annotated, pairs, name, progress, n_jobs):
@@ -126,13 +131,14 @@ def sweep(annotated, machines, workload=None, progress=None, jobs=None,
     serial backend.
 
     *engine* picks the simulation backend: ``"auto"`` (default) routes
-    the grid through the config-batched columnar engine
+    the grid through the config-batched compiled kernel
     (:mod:`repro.core.batched`) — bit-identical to the scalar engine
     and roughly an order of magnitude faster on full grids — falling
     back per-config to the scalar engine for machines outside the
-    batched envelope; ``"batched"`` does the same (it is the explicit
+    kernel's envelope; ``"batched"`` does the same (it is the explicit
     spelling); ``"scalar"`` forces the one-instruction-at-a-time
-    interpreter everywhere.
+    interpreter everywhere.  Without a C compiler every engine takes
+    the scalar route.
 
     *supervise* routes the sweep through the crash-safe supervisor
     (:func:`repro.robustness.supervisor.supervised_sweep`): pass
@@ -212,7 +218,8 @@ def sweep_cyclesim(annotated, configs, workload=None, progress=None,
     (:func:`repro.analysis.parallel.cyclesim_parallel_sweep`).  *jobs*
     and the serial cutover behave exactly as in :func:`sweep`; serial
     runs still amortise the plan and the compiled kernel across the
-    grid via :func:`repro.cyclesim.simulator.run_cycle_pairs`.
+    grid via :func:`repro.cyclesim.simulator.run_cycle_pairs`.  Without
+    a C compiler the grid runs serially on the reference simulator.
 
     *supervise* routes the grid through the same crash-safe supervisor
     MLPsim sweeps use — journalled, resumable, retried, quarantined —
@@ -238,10 +245,21 @@ def sweep_cyclesim(annotated, configs, workload=None, progress=None,
         resolve_jobs,
         serial_cutover,
     )
+    from repro.cyclesim.ckernel import kernel_available
     from repro.cyclesim.plan import cycle_plan_for
-    from repro.cyclesim.simulator import run_cycle_pairs
+    from repro.cyclesim.simulator import run_cycle_pairs, run_cyclesim
 
     n_jobs = resolve_jobs(jobs)
+
+    if not kernel_available():
+        # A cycle plan is kernel input: without the kernel the grid runs
+        # on the reference simulator, one config at a time.
+        results = {}
+        for label, config in pairs:
+            results[label] = run_cyclesim(annotated, config, workload=name)
+            if progress is not None:
+                progress(label)
+        return SweepResult(workload=name, results=results)
 
     if pairs and n_jobs > 1 and not serial_cutover(n_jobs, len(pairs)):
         results = cyclesim_parallel_sweep(

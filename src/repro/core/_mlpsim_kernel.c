@@ -9,8 +9,8 @@
  * here must keep that property.
  *
  * Compiled on demand by repro.core.ckernel with the system C compiler;
- * when no compiler is available the pure-NumPy engine in
- * repro.core.batched takes over.  No libc beyond malloc/free/memcpy.
+ * when no compiler is available the scalar engine in repro.core.mlpsim
+ * takes over.  No libc beyond malloc/free/memcpy.
  *
  * Layout contract (see ColumnarPlan):
  *   - producer columns are region-relative int32 with sentinel n

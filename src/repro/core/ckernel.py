@@ -10,11 +10,11 @@ per-config cost collapses to a few milliseconds of compiled scanning.
 
 Everything here is fail-soft: a missing compiler, an unwritable build
 directory or a failed compilation simply mark the kernel unavailable
-(:func:`kernel_available` returns ``False``) and the pure-NumPy engine
-in :mod:`repro.core.batched` takes over.  The build is atomic
-(temp file + ``os.replace``) and keyed on the SHA-1 of the C source,
-so concurrent sweep workers race benignly and edits to the source
-trigger a rebuild instead of loading a stale object.
+(:func:`kernel_available` returns ``False``) and the batched entry
+points run the scalar engine (:mod:`repro.core.mlpsim`) instead.  The
+build is atomic (temp file + ``os.replace``) and keyed on the SHA-1 of
+the C source, so concurrent sweep workers race benignly and edits to
+the source trigger a rebuild instead of loading a stale object.
 """
 
 import ctypes
@@ -108,8 +108,8 @@ def _build_dir():
     """First writable directory for the compiled object, or ``None``.
 
     ``REPRO_KERNEL_DIR`` overrides; setting it to an empty string
-    disables the compiled kernel entirely (tests use this to pin the
-    NumPy fallback).
+    disables the compiled kernel entirely (tests and CI use this to
+    run as a host without a C compiler would).
     """
     override = os.environ.get("REPRO_KERNEL_DIR")
     if override is not None:
@@ -216,7 +216,7 @@ def kernel_available():
         _probed = True
         try:
             _kernel = _load_kernel()
-        except Exception as error:  # fail-soft: NumPy engine takes over
+        except Exception as error:  # fail-soft: scalar engine takes over
             _kernel = None
             _kernel_error = error
     return _kernel is not None
@@ -272,7 +272,7 @@ def run_plan(plan, machines, workload):
     repro.robustness.errors.InternalError
         If the kernel is unavailable (callers must check
         :func:`kernel_available` first) or a config made no progress —
-        the same condition, same message, as the Python engines.
+        the same condition, same message, as the scalar engine.
     """
     if not kernel_available():
         raise InternalError(

@@ -1,15 +1,14 @@
 /* Compiled cycle-accurate pipeline kernel.
  *
- * A direct C translation of the interpreter tier in
- * repro/cyclesim/simulator.py, which is itself held bit-identical to
- * the frozen oracle repro/cyclesim/simulator_reference.py by
+ * A C implementation of the pipeline model of the frozen oracle
+ * repro/cyclesim/simulator_reference.py, held bit-identical to it by
  * tests/test_cyclesim_equivalence.py.  One cyclesim_batch() call runs
  * MANY pipeline configurations against one shared cycle plan: the
  * per-instruction tables are read-only and shared, the per-config
  * scratch (ready/complete/wake times, ROB, issue window, MSHR) is
  * allocated once and reset between configs.
  *
- * Structural notes, mirroring the Python tier:
+ * Structural notes:
  *
  *  - MSHR completions form a FIFO, not a heap: every entry completes
  *    exactly miss_penalty cycles after allocation and the clock never
@@ -43,7 +42,7 @@
 #define OP_MEMBAR 7
 #define OP_NOP 8
 
-/* Matches _NEVER in the Python simulator. */
+/* Matches _NEVER in the reference simulator. */
 #define NEVER (1LL << 60)
 
 /* Stall-category indices: STALL_CATEGORIES order in metrics.py. */
@@ -60,7 +59,7 @@
 #define ST_OK 0
 #define ST_DEADLOCK 1
 
-/* Access kinds, matching the Python access() closure. */
+/* Access kinds, matching the reference's access() closure. */
 #define KIND_DMISS 0
 #define KIND_IMISS 1
 #define KIND_PREFETCH 2

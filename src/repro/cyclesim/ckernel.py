@@ -1,13 +1,15 @@
 """Compiled cyclesim kernel: build, load and drive ``_cyclesim_kernel.c``.
 
-The cycle simulator's fast tier is a C translation of the interpreter
-in :mod:`repro.cyclesim.simulator`, compiled on demand with the system
-C compiler and loaded through :mod:`ctypes` — the same zero-dependency
+The cycle simulator's fast tier is a C implementation of the pipeline
+model of :mod:`repro.cyclesim.simulator_reference` (with a completion
+event-wheel and memoised wakeups in place of the reference's heap and
+producer walks), compiled on demand with the system C compiler and
+loaded through :mod:`ctypes` — the same zero-dependency
 build protocol as the MLPsim kernel (:mod:`repro.core.ckernel`): the
 object is keyed on the SHA-1 of the source, written atomically so
 concurrent sweep workers race benignly, and ``REPRO_KERNEL_DIR``
 overrides the build directory (empty string disables the kernel —
-tests use this to pin the interpreter tier).
+tests and CI use this to run as a host without a C compiler would).
 
 One :func:`run_cycle_plan` call simulates **many pipeline
 configurations against one shared cycle plan**: the per-instruction
@@ -17,7 +19,8 @@ configs per workload) cheap.
 
 Everything is fail-soft: a missing compiler or unwritable build
 directory marks the kernel unavailable (:func:`kernel_available`
-returns ``False``) and the pure-Python interpreter takes over.
+returns ``False``) and :func:`repro.cyclesim.simulator.run_cyclesim`
+runs the frozen reference simulator instead.
 """
 
 import ctypes
@@ -99,8 +102,8 @@ def _build_dir():
     """First writable directory for the compiled object, or ``None``.
 
     ``REPRO_KERNEL_DIR`` overrides; setting it to an empty string
-    disables the compiled kernel entirely (tests use this to pin the
-    interpreter tier).
+    disables the compiled kernel entirely (tests and CI use this to
+    run as a host without a C compiler would).
     """
     override = os.environ.get("REPRO_KERNEL_DIR")
     if override is not None:
@@ -203,7 +206,7 @@ def kernel_available():
         _probed = True
         try:
             _kernel = _load_kernel()
-        except Exception as error:  # fail-soft: interpreter takes over
+        except Exception as error:  # fail-soft: the reference takes over
             _kernel = None
             _kernel_error = error
     return _kernel is not None
@@ -255,14 +258,14 @@ def run_cycle_plan(plan, pairs, workload):
     One kernel call covers the whole batch: the columns are shared,
     the per-config scratch buffers are reused inside the kernel.
     Returns ``{label: CycleMetrics}`` in input order, bit-identical to
-    the interpreter (and hence the frozen reference).
+    the frozen reference simulator.
 
     Raises
     ------
     repro.robustness.errors.InternalError
         If the kernel is unavailable (callers must check
         :func:`kernel_available` first) or a config deadlocked — the
-        same condition, same message, as the Python tiers.
+        same condition, same message, as the reference simulator.
     """
     if not kernel_available():
         raise InternalError(

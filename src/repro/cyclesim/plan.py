@@ -8,7 +8,7 @@ group, because the cyclesim grid never flips perfect-* switches (the
 :class:`CyclePlan` therefore serves **every** configuration of a grid
 sweep, which is what makes Table 3's 27 configs per workload cheap: the
 decode/opclass, dependence and event tables are built once, the per
--config cost collapses to the compiled (or interpreted) pipeline walk.
+-config cost collapses to the compiled pipeline walk.
 
 Like the columnar MLPsim plan, a cycle plan spills to a flat
 ``{name: array}`` payload so :mod:`repro.analysis.shm` can publish it
@@ -153,24 +153,6 @@ def validate_cycle_plan_contract(plan, configs):
 
 
 @dataclasses.dataclass
-class _CycleLists:
-    """Flat Python lists for the interpreter tier, built once per plan."""
-
-    ops: list
-    prod1: list
-    prod2: list
-    prod3: list
-    memdep: list
-    addr_line: list
-    pc_line: list
-    dmiss: list
-    imiss: list
-    mispred: list
-    pmiss: list
-    pfuseful: list
-
-
-@dataclasses.dataclass
 class CyclePlan:
     """Structure-of-arrays input of the cycle simulator for one region.
 
@@ -203,32 +185,6 @@ class CyclePlan:
         return sum(
             getattr(self, name).nbytes for name, _ in CYCLE_PLAN_COLUMNS
         )
-
-    def lists(self):
-        """Flat Python lists for the interpreter tier (memoised).
-
-        Callers must not mutate the returned lists; the interpreter
-        copies ``imiss``, the one table it services in place.
-        """
-        cached = getattr(self, "_lists", None)
-        if cached is not None:
-            return cached
-        lists = _CycleLists(
-            ops=self.ops.tolist(),
-            prod1=self.prod1.tolist(),
-            prod2=self.prod2.tolist(),
-            prod3=self.prod3.tolist(),
-            memdep=self.memdep.tolist(),
-            addr_line=self.addr_line.tolist(),
-            pc_line=self.pc_line.tolist(),
-            dmiss=self.dmiss.tolist(),
-            imiss=self.imiss.tolist(),
-            mispred=self.mispred.tolist(),
-            pmiss=self.pmiss.tolist(),
-            pfuseful=self.pfuseful.tolist(),
-        )
-        self._lists = lists
-        return lists
 
 
 def _cycle_plan_cache(annotated):

@@ -26,45 +26,27 @@ time at 1000-cycle memory latencies.
 Engine tiers
 ------------
 
-This module is the *optimized* engine, held bit-identical to the frozen
-pre-optimization oracle ``repro.cyclesim.simulator_reference`` by
-``tests/test_cyclesim_equivalence.py`` (the same freeze-and-pin
-protocol PR 2 established for MLPsim).  Two tiers implement it:
+Two implementations exist, and each run uses exactly one of them:
 
-* a compiled C kernel (:mod:`repro.cyclesim.ckernel`), built on demand
-  from ``_cyclesim_kernel.c`` — the fast path, and the tier the perf
-  gates bind to;
-* a pure-Python interpreter over the precomputed flat tables of
-  :class:`repro.cyclesim.plan.CyclePlan`, with per-instruction wakeup
-  memoisation and a completion event-wheel — the portable fallback for
-  compiler-less hosts.
+* the compiled C kernel (:mod:`repro.cyclesim.ckernel`), built on
+  demand from ``_cyclesim_kernel.c`` over the precomputed tables of
+  :class:`repro.cyclesim.plan.CyclePlan` — the fast path, and the tier
+  the perf gates bind to;
+* the frozen pre-optimization oracle
+  ``repro.cyclesim.simulator_reference``, which
+  ``tests/test_cyclesim_equivalence.py`` holds the kernel bit-identical
+  to (every :class:`~repro.cyclesim.metrics.CycleMetrics` counter), and
+  which also serves hosts without a C compiler.
 
-Against the reference the interpreter replaces per-``operands_ready``
-producer walks with a write-once wakeup memo (a producer's ``ready``
-is set exactly once, at issue, so a computed wake time below the
-``_NEVER`` sentinel is final), the completion *heap* with a FIFO
-event-wheel (completion times are ``now + miss_penalty`` with
-non-decreasing ``now``, so the heap order is insertion order), and the
-per-issue ``list.remove`` with one filtered rebuild per cycle.  None of
-these change any observable — the equivalence suite holds every
-:class:`~repro.cyclesim.metrics.CycleMetrics` counter bit-identical.
+Entry points that hold the annotated trace (:func:`run_cyclesim`) fall
+back to the reference when the kernel is unavailable; an entry point
+that holds only a plan (:func:`run_cycle_pairs`) needs the kernel.
 """
 
-from collections import deque
-
-from repro.core.config import BranchPolicy, LoadPolicy, SerializePolicy
 from repro.core.mlpsim import resolve_region
+from repro.cyclesim import ckernel, simulator_reference
 from repro.cyclesim.config import CycleSimConfig
-from repro.cyclesim.metrics import CycleMetrics, OutstandingTracker
 from repro.cyclesim.plan import cycle_plan_for
-from repro.isa.opclass import OpClass
-from repro.robustness.errors import ConfigError, InternalError
-
-_NEVER = 1 << 60
-_LINE_SHIFT = 6
-
-#: Engines ``run_cyclesim`` can route a configuration through.
-CYCLE_ENGINES = ("auto", "kernel", "python")
 
 
 class CycleSimulator:
@@ -81,453 +63,35 @@ class CycleSimulator:
 
 
 def run_cyclesim(annotated, config=None, start=None, stop=None,
-                 workload=None, engine="auto"):
+                 workload=None):
     """Simulate *annotated* under *config*; return :class:`CycleMetrics`.
 
-    *engine* picks the tier: ``"auto"`` (default) uses the compiled
-    kernel when it is available and the interpreter otherwise;
-    ``"kernel"`` requires the compiled kernel (raising
-    :class:`~repro.robustness.errors.InternalError` when it cannot be
-    built); ``"python"`` forces the interpreter.  All tiers are
-    bit-identical — the equivalence suite pins every counter to the
-    frozen reference simulator.
+    Runs the compiled kernel when it is available and the frozen
+    reference simulator otherwise; both are bit-identical.
     """
-    if engine not in CYCLE_ENGINES:
-        raise ConfigError(
-            f"engine must be one of {CYCLE_ENGINES}, got {engine!r}",
-            field="engine",
-        )
     config = config or CycleSimConfig()
+    if not ckernel.kernel_available():
+        return simulator_reference.run_cyclesim(
+            annotated, config, start=start, stop=stop, workload=workload
+        )
     start, stop = resolve_region(annotated, start, stop)
     plan = cycle_plan_for(annotated, start, stop)
     name = workload or annotated.trace.name
-    if engine != "python":
-        from repro.cyclesim import ckernel
-
-        if ckernel.kernel_available():
-            results = ckernel.run_cycle_plan(plan, [("run", config)], name)
-            return results["run"]
-        if engine == "kernel":
-            raise InternalError(
-                f"compiled cyclesim kernel unavailable:"
-                f" {ckernel.kernel_error()}"
-            )
-    return simulate_cycle_plan(plan, config, workload=name)
+    return ckernel.run_cycle_plan(plan, [("run", config)], name)["run"]
 
 
 def run_cycle_pairs(plan, pairs, workload):
-    """Simulate every ``(label, config)`` pair against *plan*.
+    """Simulate every ``(label, config)`` pair against *plan* in C.
 
-    The batch entry point of the sweep backend: one compiled call when
-    the kernel is available, otherwise one interpreter run per config.
-    Returns ``{label: CycleMetrics}`` in input order.
+    The batch entry point of the sweep backend: one compiled call for
+    the whole grid.  Returns ``{label: CycleMetrics}`` in input order.
+
+    Raises
+    ------
+    repro.robustness.errors.InternalError
+        If the compiled kernel is unavailable (the message carries
+        :func:`repro.cyclesim.ckernel.kernel_error`): a plan is kernel
+        input, and callers holding the annotated trace use
+        :func:`run_cyclesim` instead.
     """
-    from repro.cyclesim import ckernel
-
-    if ckernel.kernel_available():
-        return ckernel.run_cycle_plan(plan, pairs, workload)
-    return {
-        label: simulate_cycle_plan(plan, config, workload=workload)
-        for label, config in pairs
-    }
-
-
-def simulate_cycle_plan(plan, config, workload=None):
-    """Interpreter tier: run one configuration against a cycle plan."""
-    n = len(plan)
-    tables = plan.lists()
-
-    prod1 = tables.prod1
-    prod2 = tables.prod2
-    prod3 = tables.prod3
-    memdep = tables.memdep
-
-    ops = tables.ops
-    addr_lines = tables.addr_line
-    pc_lines = tables.pc_line
-    dmiss = tables.dmiss
-    mispred = tables.mispred
-    pmiss = tables.pmiss
-    pfuseful = tables.pfuseful
-    imiss = list(tables.imiss)  # consumed in place per run
-
-    LOAD = int(OpClass.LOAD)
-    STORE = int(OpClass.STORE)
-    BRANCH = int(OpClass.BRANCH)
-    PREFETCH = int(OpClass.PREFETCH)
-    CAS = int(OpClass.CAS)
-    LDSTUB = int(OpClass.LDSTUB)
-    MEMBAR = int(OpClass.MEMBAR)
-    MEMOPS = (LOAD, STORE, PREFETCH, CAS, LDSTUB)
-    SERIAL_OPS = (CAS, LDSTUB, MEMBAR)
-
-    load_in_order = config.issue.load_policy == LoadPolicy.IN_ORDER
-    load_wait_staddr = config.issue.load_policy == LoadPolicy.WAIT_STORE_ADDR
-    branch_in_order = config.issue.branch_policy == BranchPolicy.IN_ORDER
-    serializing = config.issue.serialize_policy == SerializePolicy.SERIALIZING
-    perfect_l2 = config.perfect_l2
-    miss_penalty = config.miss_penalty
-    l1_latency = config.l1_latency
-    l2_latency = config.l2_latency
-    alu_latency = config.alu_latency
-    branch_latency = config.branch_latency
-    frontend_depth = config.frontend_depth
-    redirect_penalty = config.redirect_penalty
-    commit_width = config.commit_width
-    issue_width = config.issue_width
-    dispatch_width = config.dispatch_width
-    fetch_width = config.fetch_width
-    fetch_buffer = config.fetch_buffer
-    rob_size = config.rob
-    iw_size = config.issue_window
-    event_skip = config.event_skip
-
-    # Per-instruction timing state.
-    ready = [_NEVER] * n  # result availability (wakeup)
-    complete = [_NEVER] * n  # commit eligibility
-    # Wakeup memo: ``ready`` is written exactly once per instruction
-    # (at issue), so a computed operand wake time below ``_NEVER`` —
-    # meaning every producer has issued — is final and cacheable.
-    wake = [-1] * n
-
-    fetch_q = deque()  # (index, dispatch-eligible cycle), FIFO
-    rob = []  # indices in program order (list used as deque via pointer)
-    rob_head = 0
-    iw = []  # dispatched, unissued indices (program order)
-    unissued_memops = []  # for policy A ordering (head may issue)
-    unresolved_stores = deque()  # policy B: stores with unknown address
-    unissued_branches = []  # for in-order branch issue
-
-    fetch_ptr = 0
-    fetch_stall_until = 0
-    waiting_redirect = False  # stalled on an unissued mispredicted branch
-    redirect_branch = -1
-    serializing_block_until = 0
-
-    # Completion event-wheel: entries complete ``miss_penalty`` cycles
-    # after they start and ``now`` never decreases, so completions
-    # retire in allocation order — a FIFO, no heap needed.
-    mshr = {}  # line -> [completion_cycle, useful]
-    completion_events = deque()  # (cycle, line) in completion order
-    tracker = OutstandingTracker()
-
-    metrics = CycleMetrics(
-        workload=workload,
-        label=f"{config.issue_window}{config.issue.name}"
-        + ("/perfL2" if perfect_l2 else ""),
-    )
-
-    def access(now, line, useful, kind):
-        """Start an off-chip access; return its completion cycle."""
-        entry = mshr.get(line)
-        if entry is not None:
-            if useful and not entry[1]:
-                entry[1] = True
-                tracker.add(now, 1)
-            return entry[0]
-        done = now + miss_penalty
-        mshr[line] = [done, useful]
-        completion_events.append((done, line))
-        if useful:
-            tracker.add(now, 1)
-            metrics.offchip_accesses += 1
-            if kind == 0:
-                metrics.dmiss_accesses += 1
-            elif kind == 1:
-                metrics.imiss_accesses += 1
-            else:
-                metrics.prefetch_accesses += 1
-        return done
-
-    now = 0
-    committed = 0
-    stalls = metrics.stall_cycles
-    wait_reason_is_branch = False
-    while committed < n:
-        # Retire completed off-chip accesses.
-        while completion_events and completion_events[0][0] <= now:
-            done, line = completion_events.popleft()
-            entry = mshr.pop(line, None)
-            if entry is not None and entry[1]:
-                tracker.add(done, -1)
-
-        activity = 0
-        committed_this_cycle = 0
-
-        # ---- commit ------------------------------------------------------
-        for _ in range(commit_width):
-            if rob_head >= len(rob):
-                break
-            head = rob[rob_head]
-            if complete[head] > now:
-                break
-            rob_head += 1
-            committed += 1
-            committed_this_cycle += 1
-            activity += 1
-        if rob_head > 4096 and rob_head * 2 > len(rob):
-            del rob[:rob_head]
-            rob_head = 0
-
-        # ---- issue ---------------------------------------------------------
-        if iw and now >= serializing_block_until:
-            issued_this_cycle = 0
-            issued_indices = []
-            for i in iw:
-                if issued_this_cycle >= issue_width:
-                    break
-                op = ops[i]
-
-                if serializing and op in SERIAL_OPS:
-                    # Pipeline drain: only the ROB head may issue, and
-                    # younger instructions wait for its completion.
-                    if rob_head >= len(rob) or rob[rob_head] != i:
-                        continue
-                w = wake[i]
-                if w < 0:
-                    w = 0
-                    p = prod1[i]
-                    if p >= 0:
-                        r = ready[p]
-                        if r > w:
-                            w = r
-                    p = prod2[i]
-                    if p >= 0:
-                        r = ready[p]
-                        if r > w:
-                            w = r
-                    p = prod3[i]
-                    if p >= 0:
-                        r = ready[p]
-                        if r > w:
-                            w = r
-                    if w < _NEVER:
-                        wake[i] = w
-                if w > now:
-                    continue
-
-                if op == LOAD or op == CAS or op == LDSTUB:
-                    m = memdep[i]
-                    if m >= 0 and complete[m] > now:
-                        continue  # wait for the forwarding store
-                    if load_in_order and unissued_memops[0] != i:
-                        continue
-                    if load_wait_staddr:
-                        while unresolved_stores:
-                            s = unresolved_stores[0]
-                            addr_when = 0
-                            p = prod1[s]
-                            if p >= 0 and ready[p] > addr_when:
-                                addr_when = ready[p]
-                            p = prod2[s]
-                            if p >= 0 and ready[p] > addr_when:
-                                addr_when = ready[p]
-                            if addr_when <= now:
-                                unresolved_stores.popleft()
-                            else:
-                                break
-                        if unresolved_stores and unresolved_stores[0] < i:
-                            continue
-                    if dmiss[i]:
-                        if perfect_l2:
-                            done = now + l2_latency
-                        else:
-                            done = access(now, addr_lines[i], True, 0)
-                    else:
-                        done = now + l1_latency
-                    ready[i] = done
-                    complete[i] = done
-                    if serializing and op != LOAD:
-                        serializing_block_until = done
-                elif op == STORE:
-                    if load_in_order and unissued_memops[0] != i:
-                        continue
-                    ready[i] = now + 1
-                    complete[i] = now + 1
-                elif op == PREFETCH:
-                    if pmiss[i]:
-                        if not perfect_l2:
-                            access(now, addr_lines[i], pfuseful[i], 2)
-                    ready[i] = now + 1
-                    complete[i] = now + 1
-                elif op == BRANCH:
-                    if branch_in_order and unissued_branches[0] != i:
-                        continue
-                    done = now + branch_latency
-                    ready[i] = done
-                    complete[i] = done
-                    if i == redirect_branch:
-                        fetch_stall_until = done + redirect_penalty
-                        redirect_branch = -1
-                        waiting_redirect = False
-                        wait_reason_is_branch = True
-                elif op == MEMBAR:
-                    ready[i] = now + 1
-                    complete[i] = now + 1
-                    if serializing:
-                        serializing_block_until = now + 1
-                else:  # ALU / NOP
-                    done = now + alu_latency
-                    ready[i] = done
-                    complete[i] = done
-
-                issued_indices.append(i)
-                issued_this_cycle += 1
-                if op in MEMOPS and unissued_memops and unissued_memops[0] == i:
-                    unissued_memops.pop(0)
-                elif op in MEMOPS:
-                    unissued_memops.remove(i)
-                if op == BRANCH:
-                    if unissued_branches and unissued_branches[0] == i:
-                        unissued_branches.pop(0)
-                    else:
-                        unissued_branches.remove(i)
-                if serializing and (op == CAS or op == LDSTUB):
-                    break  # drain: nothing younger issues this cycle
-
-            if issued_indices:
-                issued = set(issued_indices)
-                iw = [x for x in iw if x not in issued]
-                activity += len(issued_indices)
-
-        # ---- dispatch -----------------------------------------------------
-        dispatched = 0
-        while (
-            fetch_q
-            and dispatched < dispatch_width
-            and fetch_q[0][1] <= now
-            and len(rob) - rob_head < rob_size
-            and len(iw) < iw_size
-        ):
-            if (
-                serializing
-                and ops[fetch_q[0][0]] in SERIAL_OPS
-                and rob_head < len(rob)
-            ):
-                # Pipeline drain: a serializing instruction enters the
-                # backend only once everything older has committed.
-                break
-            i, _ = fetch_q.popleft()
-            rob.append(i)
-            iw.append(i)
-            op = ops[i]
-            if op in MEMOPS:
-                unissued_memops.append(i)
-                if op == STORE and load_wait_staddr:
-                    unresolved_stores.append(i)
-            if op == BRANCH:
-                unissued_branches.append(i)
-            dispatched += 1
-        activity += dispatched
-
-        # ---- fetch ---------------------------------------------------------
-        if now >= fetch_stall_until and not waiting_redirect:
-            fetched = 0
-            while (
-                fetch_ptr < n
-                and fetched < fetch_width
-                and len(fetch_q) < fetch_buffer
-            ):
-                i = fetch_ptr
-                if imiss[i]:
-                    imiss[i] = False
-                    if perfect_l2:
-                        done = now + l2_latency
-                    else:
-                        done = access(now, pc_lines[i], True, 1)
-                    fetch_stall_until = done
-                    wait_reason_is_branch = False
-                    break
-                fetch_q.append((i, now + frontend_depth))
-                fetch_ptr += 1
-                fetched += 1
-                if mispred[i]:
-                    waiting_redirect = True
-                    redirect_branch = i
-                    break
-            activity += fetched
-
-        # ---- attribute this cycle to the CPI stack -------------------------
-        if committed_this_cycle:
-            category = "commit"
-        elif rob_head < len(rob):
-            head = rob[rob_head]
-            if complete[head] < _NEVER:
-                head_op = ops[head]
-                if serializing and head_op in SERIAL_OPS:
-                    category = "drain"
-                elif dmiss[head] or head_op == LOAD or head_op == CAS \
-                        or head_op == LDSTUB:
-                    category = "memory"
-                else:
-                    category = "backend"
-            else:
-                category = "backend"
-        elif waiting_redirect or (
-            redirect_branch == -1 and fetch_stall_until > now and fetch_ptr < n
-            and wait_reason_is_branch
-        ):
-            category = "branch"
-        elif fetch_stall_until > now:
-            category = "ifetch"
-        else:
-            category = "frontend"
-
-        # ---- advance time --------------------------------------------------
-        tracker.advance(now)
-        if activity or not event_skip:
-            stalls[category] += 1
-            now += 1
-            continue
-        # Fully stalled: jump to the next event (clock bulk-skip).
-        next_time = _NEVER
-        if completion_events:
-            next_time = completion_events[0][0]
-        if rob_head < len(rob):
-            c = complete[rob[rob_head]]
-            if c < next_time:
-                next_time = c
-        for i in iw:
-            w = wake[i]
-            if w < 0:
-                w = 0
-                p = prod1[i]
-                if p >= 0:
-                    r = ready[p]
-                    if r > w:
-                        w = r
-                p = prod2[i]
-                if p >= 0:
-                    r = ready[p]
-                    if r > w:
-                        w = r
-                p = prod3[i]
-                if p >= 0:
-                    r = ready[p]
-                    if r > w:
-                        w = r
-                if w < _NEVER:
-                    wake[i] = w
-            if now < w < next_time:
-                next_time = w
-        if fetch_q and fetch_q[0][1] > now:
-            if fetch_q[0][1] < next_time:
-                next_time = fetch_q[0][1]
-        if not waiting_redirect and now < fetch_stall_until < next_time:
-            next_time = fetch_stall_until
-        if now < serializing_block_until < next_time:
-            next_time = serializing_block_until
-        if next_time <= now or next_time >= _NEVER:
-            raise InternalError(
-                f"cycle simulator deadlocked at cycle {now}"
-                f" (committed {committed}/{n})"
-            )
-        stalls[category] += next_time - now
-        now = next_time
-
-    tracker.advance(now)
-    metrics.instructions = n
-    metrics.cycles = now
-    metrics.nonzero_cycles = tracker.nonzero_cycles
-    metrics.outstanding_integral = tracker.integral
-    return metrics
+    return ckernel.run_cycle_plan(plan, pairs, workload)

@@ -1,32 +1,36 @@
-"""Config-batched columnar engine vs. the frozen reference interpreter.
+"""Config-batched engine vs. the frozen reference interpreter.
 
-The batched engine (:mod:`repro.core.batched`) — compiled kernel when a
-C toolchain is present, vectorised NumPy fallback otherwise — replaces
-N scalar replays of a sweep with one pass per event-mask group over a
-shared columnar plan.  The refactor is only admissible if every result
-is **bit-identical** to ``mlpsim_reference.simulate_reference``, the
-verbatim pre-optimization oracle, across the paper's whole grid axis:
-window sizes x issue policies A-E x perfect-* switches, plus the
+The batched engine (:mod:`repro.core.batched`) replaces N scalar
+replays of a sweep with one compiled kernel pass per event-mask group
+over a shared columnar plan.  The refactor is only admissible if every
+result is **bit-identical** to ``mlpsim_reference.simulate_reference``,
+the verbatim pre-optimization oracle, across the paper's whole grid
+axis: window sizes x issue policies A-E x perfect-* switches, plus the
 structure-limit families (MSHRs, store buffer, slow branch predictor,
 value prediction).
 
-Both engine tiers are pinned: the suite runs once against whatever tier
-the host resolves (kernel, normally) and once with the kernel forcibly
-disabled so the NumPy fallback's own envelope is exercised.
+Both host kinds are pinned: the suite runs once against whatever the
+host resolves (the kernel, normally) and once with the kernel forcibly
+disabled, as on a host without a C compiler, where every entry point
+that holds the annotated trace runs the scalar engine.
 """
 
 import dataclasses
 
 import pytest
 
+import repro.analysis.parallel as parallel
 import repro.core.ckernel as ckernel
 from repro.core.batched import (
     batched_supported,
     simulate_batch,
     simulate_batched,
+    simulate_plan,
 )
+from repro.core.columnar import plan_for
 from repro.core.config import MachineConfig
 from repro.core.mlpsim_reference import simulate_reference
+from repro.robustness.errors import InternalError
 
 #: The paper's grid axis: every window size crossed with every Table 2
 #: issue policy.
@@ -74,7 +78,7 @@ def _machine(label, overrides=None):
 
 @pytest.fixture
 def no_kernel(monkeypatch):
-    """Pin the NumPy fallback tier (as if no C toolchain existed)."""
+    """Disable the compiled kernel (as if no C toolchain existed)."""
     monkeypatch.setattr(ckernel, "_probed", True)
     monkeypatch.setattr(ckernel, "_kernel", None)
     monkeypatch.setattr(
@@ -132,7 +136,10 @@ class TestFullGridKernel:
 
 
 class TestNumpyFallback:
-    """The vectorised NumPy tier must hold the same oracle contract."""
+    """The no-compiler suite: with the kernel disabled, every entry point
+    that holds the annotated trace runs the scalar engine and matches
+    the oracle, and the plan-only entry point refuses loudly.  (The
+    class is named for the NumPy tier that once served this path.)"""
 
     def test_grid_bit_identical_without_kernel(self, specjbb_annotated,
                                                no_kernel):
@@ -149,23 +156,28 @@ class TestNumpyFallback:
 
     def test_value_prediction_delegates_cleanly(self, specjbb_annotated,
                                                 no_kernel):
-        """Outside the fallback envelope the scalar engine takes over
-        and the result still matches the oracle bit for bit."""
+        """Value prediction is inside the kernel's envelope, but with no
+        kernel the scalar engine takes over and still matches the oracle
+        bit for bit."""
         machine = MachineConfig.named("64C", value_prediction=True)
         assert not batched_supported(machine)
-        fast = simulate_batched(specjbb_annotated, machine,
-                                workload="specjbb2000")
         oracle = simulate_reference(specjbb_annotated, machine,
                                     workload="specjbb2000")
+        fast = simulate_batched(specjbb_annotated, machine,
+                                workload="specjbb2000")
+        batch = simulate_batch(specjbb_annotated, [("64C-vp", machine)],
+                               workload="specjbb2000")
         assert _result_fields(fast) == _result_fields(oracle)
+        assert _result_fields(batch["64C-vp"]) == _result_fields(oracle)
 
     def test_kernel_vs_fallback_same_results(self, database_annotated,
                                              monkeypatch):
-        """Both tiers agree with each other, not just with the oracle
-        (guards against the suite accidentally testing one tier twice).
+        """The kernel and the no-compiler path agree with each other, not
+        just with the oracle (guards against the suite accidentally
+        testing one path twice).
         """
         if not ckernel.kernel_available():
-            pytest.skip("no C toolchain: only one tier exists here")
+            pytest.skip("no C toolchain: only one path exists here")
         grid = [(label, _machine(label)) for label in ("32A", "64C", "128E")]
         with_kernel = simulate_batch(database_annotated, grid,
                                      workload="database")
@@ -179,6 +191,44 @@ class TestNumpyFallback:
         for label, _ in grid:
             assert _result_fields(with_kernel[label]) == \
                 _result_fields(without[label]), label
+
+    def test_parallel_sweep_takes_scalar_pool(self, specweb_annotated,
+                                              no_kernel, monkeypatch):
+        """``sweep(engine="auto", jobs=2)`` takes the scalar route and
+        its worker pool, never a published plan."""
+        monkeypatch.setattr(parallel, "effective_cpus", lambda: 2)
+        pools = []
+        real_pool = parallel.parallel_sweep_results
+
+        def recording_pool(*args, **kwargs):
+            pools.append(args[1])
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "parallel_sweep_results",
+                            recording_pool)
+        monkeypatch.setattr(
+            parallel, "batched_parallel_sweep",
+            lambda *args, **kwargs: pytest.fail("published a plan"),
+        )
+        from repro.analysis.sweep import sweep
+
+        grid = [(label, _machine(label)) for label in ("32A", "64C", "128E")]
+        auto = sweep(specweb_annotated, grid, engine="auto", jobs=2)
+        scalar = sweep(specweb_annotated, grid, engine="scalar", jobs=1)
+        assert len(pools) == 1
+        assert auto.labels() == scalar.labels()
+        for label, _ in grid:
+            assert _result_fields(auto.results[label]) == \
+                _result_fields(scalar.results[label]), label
+
+    def test_simulate_plan_needs_kernel(self, specweb_annotated,
+                                        no_kernel):
+        """A plan is kernel input: without the kernel there is nothing
+        to run it on, and the error says why."""
+        machine = _machine("64C")
+        plan = plan_for(specweb_annotated, machine)
+        with pytest.raises(InternalError, match="kernel disabled for test"):
+            simulate_plan(plan, machine, "specweb99")
 
 
 class TestEngineSelection:

@@ -59,6 +59,27 @@ class TestSerialParallelEquivalence:
                 _result_fields(serial.results[label])
 
 
+class TestKernelEnvelope:
+    def test_runahead_configs_never_reach_a_published_plan(
+            self, specjbb_annotated, monkeypatch):
+        """Runahead machines are outside the compiled kernel's envelope:
+        a parallel sweep must run them on the scalar engine, not hand
+        them to a shared plan that would ignore runahead."""
+        # Pin two CPUs so a one-CPU runner cannot cut over to serial.
+        monkeypatch.setattr(parallel, "effective_cpus", lambda: 2)
+        grid = [
+            ("64C", MachineConfig.named("64C")),
+            ("RAE", MachineConfig.runahead_machine()),
+            ("64C-ra", MachineConfig.named("64C", runahead=True)),
+        ]
+        wide = sweep(specjbb_annotated, grid, jobs=2)
+        scalar = sweep(specjbb_annotated, grid, engine="scalar")
+        assert wide.labels() == scalar.labels()
+        for label, _ in grid:
+            assert _result_fields(wide.results[label]) == \
+                _result_fields(scalar.results[label]), label
+
+
 class _ExplodingMachine:
     """A picklable stand-in that breaks inside the worker.
 

@@ -10,7 +10,11 @@ sibling workers, so both directions of the contract matter.
 """
 
 import os
+import pathlib
 import signal
+import subprocess
+import sys
+import textwrap
 
 import multiprocessing
 
@@ -19,6 +23,7 @@ import pytest
 
 import repro.analysis.parallel as parallel
 import repro.analysis.shm as shm
+from repro.core.ckernel import kernel_available
 from repro.core.columnar import PLAN_COLUMNS, plan_for
 from repro.core.config import MachineConfig
 from repro.robustness.errors import SimulationError, TraceFormatError
@@ -152,6 +157,11 @@ def _suicidal_chunk(handle, chunk, workload):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+@pytest.mark.skipif(
+    not kernel_available(),
+    reason="a plan is kernel input: without a C compiler a batched"
+    " sweep publishes none",
+)
 class TestSweepLifecycle:
     def test_success_path_unlinks_everything(self, specjbb_annotated,
                                              monkeypatch):
@@ -188,6 +198,75 @@ class TestSweepLifecycle:
             )
         assert handles
         assert all(not shm.plan_is_published(h) for h in handles)
+
+
+#: A child process that runs batched sweeps at ``jobs=2`` over four
+#: mask groups, so that pairs of workers attach the same segments.
+_QUIET_SWEEP = textwrap.dedent("""
+    import repro.analysis.parallel as parallel
+    from repro.analysis.sweep import sweep
+    from repro.core.config import MachineConfig
+    from repro.trace.annotate import annotate
+    from repro.workloads import generate_trace
+
+    parallel.effective_cpus = lambda: 2
+    annotated = annotate(generate_trace("database", 20000))
+    grid = [
+        (f"{w}{p}-{pi:d}{pb:d}", MachineConfig.named(
+            f"{w}{p}", perfect_ifetch=pi, perfect_branch=pb))
+        for w in (32, 128) for p in "ACE"
+        for pi in (False, True) for pb in (False, True)
+    ]
+    for _ in range(40):
+        sweep(annotated, grid, jobs=2)
+""")
+
+
+def _attach_and_report(handle, queue):
+    """Worker body: attach and close, reporting tracker unregistrations."""
+    from multiprocessing import resource_tracker
+
+    calls = []
+    resource_tracker.unregister = lambda name, rtype: calls.append(name)
+    with shm.attach_plan(handle):
+        pass
+    queue.put(calls)
+
+
+class TestTrackerNoise:
+    def test_worker_attach_leaves_shared_tracker_alone(self, plan):
+        """A forked worker shares the publisher's resource tracker, so
+        its attach must not unregister the publisher's entry."""
+        handle = shm.publish_plan(plan)
+        try:
+            ctx = multiprocessing.get_context("fork")
+            queue = ctx.Queue()
+            worker = ctx.Process(
+                target=_attach_and_report, args=(handle, queue)
+            )
+            worker.start()
+            calls = queue.get(timeout=30)
+            worker.join(timeout=30)
+        finally:
+            shm.unpublish_plan(handle)
+        assert worker.exitcode == 0
+        assert calls == []
+
+    def test_parallel_sweep_leaves_stderr_clean(self):
+        """Workers share the publisher's resource tracker; attaching must
+        not unregister from it, or sibling workers race over one entry
+        and the tracker prints ``KeyError`` tracebacks."""
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _QUIET_SWEEP],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr, done.stderr
 
 
 class TestSharding:
