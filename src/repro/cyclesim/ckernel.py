@@ -52,7 +52,7 @@ _ST_DEADLOCK = 1
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_cyclesim_kernel.c")
 
 
-class _KernelConfig(ctypes.Structure):
+class _CycleConfig(ctypes.Structure):
     _fields_ = [
         ("rob", ctypes.c_int64),
         ("issue_window", ctypes.c_int64),
@@ -77,7 +77,7 @@ class _KernelConfig(ctypes.Structure):
     ]
 
 
-class _KernelResult(ctypes.Structure):
+class _CycleResult(ctypes.Structure):
     _fields_ = [
         ("cycles", ctypes.c_int64),
         ("offchip_accesses", ctypes.c_int64),
@@ -188,9 +188,9 @@ def _load_kernel():
         ctypes.c_void_p, ctypes.c_void_p,     # dmiss, imiss
         ctypes.c_void_p, ctypes.c_void_p,     # mispred, pmiss
         ctypes.c_void_p,                      # pfuseful
-        ctypes.POINTER(_KernelConfig),
+        ctypes.POINTER(_CycleConfig),
         ctypes.c_int64,
-        ctypes.POINTER(_KernelResult),
+        ctypes.POINTER(_CycleResult),
     ]
     return fn
 
@@ -220,7 +220,7 @@ def kernel_error():
 
 def _config_struct(config):
     issue = config.issue
-    return _KernelConfig(
+    return _CycleConfig(
         rob=config.rob,
         issue_window=config.issue_window,
         fetch_buffer=config.fetch_buffer,
@@ -287,10 +287,10 @@ def run_cycle_plan(plan, pairs, workload):
     pmiss = _column(plan.pmiss, np.uint8)
     pfuseful = _column(plan.pfuseful, np.uint8)
 
-    configs = (_KernelConfig * len(pairs))(
+    configs = (_CycleConfig * len(pairs))(
         *[_config_struct(config) for _, config in pairs]
     )
-    results = (_KernelResult * len(pairs))()
+    results = (_CycleResult * len(pairs))()
 
     # The kernel's bounds/overflow certification assumes exactly the
     # CYCLE_PLAN_CONTRACT ranges; refuse to call it with anything

@@ -34,19 +34,24 @@ def certified_kernels(project):
 
     Returns ``{relpath: KernelReport}`` (see
     :class:`repro.lint.certify.interp.KernelReport`); memoised on the
-    project so the two C passes share one fixpoint run.
+    project so the two C passes share one fixpoint run.  The kernels
+    are read through :meth:`~repro.lint.framework.Project.c_unit`, the
+    same parse the parity passes use.
     """
     cache = getattr(project, "_certify_reports", None)
     if cache is None:
-        from repro.lint.certify.interp import analyse_kernel
+        from repro.lint.certify.interp import KernelReport, analyse_kernel
+        from repro.lint.clang_parity.cparse import CParseError
         cache = {}
         for contract in kernel_contracts():
-            source = project.read_text(contract.path)
-            if source is None:
+            try:
+                unit = project.c_unit(contract.path)
+            except CParseError as exc:
+                report = KernelReport(contract.path)
+                report.error = (exc.lineno, str(exc))
+                cache[contract.path] = report
                 continue
-            project.count_parse(contract.path, "c-unit")
-            cache[contract.path] = analyse_kernel(
-                source, contract, extract=project.c_extract(contract.path)
-            )
+            if unit is not None:
+                cache[contract.path] = analyse_kernel(unit, contract)
         project._certify_reports = cache
     return cache

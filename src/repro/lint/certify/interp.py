@@ -34,7 +34,6 @@ from collections import deque
 from repro.lint.certify import intervals as iv
 from repro.lint.certify.contracts import Buf, Inv, StructElem, Sym
 from repro.lint.clang_parity import cparse
-from repro.lint.clang_parity.cextract import extract_c
 
 #: Joins a loop head absorbs before its unstable endpoints widen.
 _WIDEN_DELAY = 4
@@ -171,14 +170,14 @@ class _ElemSpec:
 
 
 class _Env:
-    """Contract + extraction resolved against one kernel source."""
+    """Contract resolved against one parsed kernel unit."""
 
-    def __init__(self, source, contract, extract=None):
+    def __init__(self, unit, contract):
         self.contract = contract
-        self.extract = extract if extract is not None else extract_c(source)
-        self.unit = cparse.parse_c_unit(source, set(self.extract.structs))
+        self.unit = unit
+        self.structs = unit.structs
         self.defines = {
-            name: d.value for name, d in self.extract.defines.items()
+            name: d.value for name, d in unit.defines.items()
             if d.value is not None
         }
         self.box = dict(contract.symbols)
@@ -250,7 +249,7 @@ class _Env:
         width = _WIDTHS.get(base)
         if width is not None:
             return width[0] // 8
-        decl = self.extract.structs.get(base)
+        decl = self.structs.get(base)
         if decl is None:
             return None
         total = 0
@@ -258,15 +257,13 @@ class _Env:
             fbytes = self.type_bytes(field.ctype) or 8
             count = 1
             if field.array_len is not None:
-                count = self._fold_len(field.array_len) or 1
+                count = self.const(field.array_len) or 1
             total += fbytes * count
         return total
 
-    def _fold_len(self, text):
-        try:
-            return int(str(text), 0)
-        except (TypeError, ValueError):
-            return self.defines.get(str(text).strip())
+    def const(self, expr):
+        """Integer value of a compile-time-constant *expr*, or None."""
+        return cparse.const_fold(expr, self.defines, self.type_bytes)
 
     # -- bound/expression folding over symbols and defines
 
@@ -349,7 +346,7 @@ class _Env:
     # -- struct lookups
 
     def struct_field(self, struct, field):
-        decl = self.extract.structs.get(struct)
+        decl = self.structs.get(struct)
         if decl is None:
             return None
         for f in decl.fields:
@@ -752,51 +749,9 @@ def _split_ctype(text):
     return t.replace("*", " ").strip(), ptr
 
 
-def _strip_casts(expr):
-    while isinstance(expr, cparse.CCast):
-        expr = expr.operand
-    return expr
-
-
-def _const_fold(expr, env):
-    """Integer value of a compile-time-constant expression, or None."""
-    expr = _strip_casts(expr)
-    if isinstance(expr, cparse.CNum):
-        return expr.value
-    if isinstance(expr, cparse.CName):
-        return env.defines.get(expr.name)
-    if isinstance(expr, cparse.CSizeof):
-        if isinstance(expr.arg, str):
-            return env.type_bytes(expr.arg)
-        return None
-    if isinstance(expr, cparse.CUnary):
-        inner = _const_fold(expr.operand, env)
-        if inner is None:
-            return None
-        if expr.op == "-":
-            return -inner
-        if expr.op == "~":
-            return ~inner
-        if expr.op == "!":
-            return int(inner == 0)
-        return None
-    if isinstance(expr, cparse.CBinary):
-        left = _const_fold(expr.left, env)
-        right = _const_fold(expr.right, env)
-        if left is None or right is None:
-            return None
-        ops = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
-               "*": lambda a, b: a * b, "<<": lambda a, b: a << b,
-               ">>": lambda a, b: a >> b, "&": lambda a, b: a & b,
-               "|": lambda a, b: a | b, "^": lambda a, b: a ^ b}
-        fn = ops.get(expr.op)
-        return fn(left, right) if fn else None
-    return None
-
-
 def _split_ptr_arith(expr):
     """``(base, offset_or_None)`` for ``buf`` / ``buf + k``."""
-    expr = _strip_casts(expr)
+    expr = cparse.strip_casts(expr)
     if isinstance(expr, cparse.CBinary) and expr.op == "+":
         return expr.left, expr.right
     return expr, None
@@ -968,7 +923,7 @@ class _FnCore:
             self.checking = saved
 
     def _form(self, expr, state):
-        expr = _strip_casts(expr)
+        expr = cparse.strip_casts(expr)
         if isinstance(expr, cparse.CNum):
             return ({}, iv.const_interval(expr.value))
         if isinstance(expr, cparse.CSizeof):
@@ -993,7 +948,7 @@ class _FnCore:
         if isinstance(expr, cparse.CBinary) and expr.op == "*":
             for side, other in ((expr.left, expr.right),
                                 (expr.right, expr.left)):
-                k = _const_fold(side, self.env)
+                k = self.env.const(side)
                 if k is not None:
                     inner = self._form(other, state)
                     return None if inner is None else _form_scale(inner, k)
@@ -1089,7 +1044,7 @@ class _FnEval:
     def _sizeof(self, expr):
         if isinstance(expr.arg, str):
             return self.env.type_bytes(expr.arg)
-        arg = _strip_casts(expr.arg)
+        arg = cparse.strip_casts(expr.arg)
         if isinstance(arg, cparse.CUnary) and arg.op == "*":
             arg = arg.operand
         if isinstance(arg, cparse.CName):
@@ -1105,7 +1060,7 @@ class _FnEval:
         vt = self.var_types.get(name)
         if vt is not None:
             base, ptr = vt
-            structs = self.env.extract.structs
+            structs = self.env.structs
             if ptr > 0 or base in structs:
                 return self._pointer_value(name, base, ptr, state)
             ct = self.env.width_of(base) or (64, True)
@@ -1128,7 +1083,7 @@ class _FnEval:
             ref = self.local_bufs.get(name)
         if ref is None:
             ref = self.env.ann_buffers.get((self.fn.name, name))
-        if ref is None and base in self.env.extract.structs:
+        if ref is None and base in self.env.structs:
             ref = _StructPtr(base)
         return _Value(ct=None, ref=ref, key=name)
 
@@ -1136,7 +1091,7 @@ class _FnEval:
         """``(struct, key_prefix_or_None)`` for a struct-typed lvalue."""
         if isinstance(expr, cparse.CName):
             vt = self.var_types.get(expr.name)
-            if (vt and vt[0] in self.env.extract.structs
+            if (vt and vt[0] in self.env.structs
                     and vt[1] <= 1):
                 return (vt[0], expr.name)
             return None
@@ -1166,7 +1121,7 @@ class _FnEval:
         sep = "->" if expr.arrow else "."
         key = f"{prefix}{sep}{expr.field}" if prefix else None
         fbase, fptr = _split_ctype(fdecl.ctype)
-        structs = self.env.extract.structs
+        structs = self.env.structs
         if fbase in structs:
             return _Value(ct=None, ref=_StructPtr(fbase), key=key)
         if fptr > 0 or fdecl.array_len is not None:
@@ -1351,7 +1306,7 @@ class _FnEval:
     def _eval_cast(self, expr, state):
         value = self.eval(expr.operand, state)
         base, ptr = _split_ctype(expr.ctype)
-        if ptr > 0 or base in self.env.extract.structs:
+        if ptr > 0 or base in self.env.structs:
             return _Value(value.interval, None, ref=value.ref,
                           key=value.key)
         ct = self.env.width_of(base)
@@ -1395,15 +1350,15 @@ class _FnEval:
         """``E ? E : K`` / ``E > 0 ? E : K`` with ``K >= 0`` const and
         ``E >= 0``: the result is at least ``E`` — recover the affine
         lower bound the branch join had to drop."""
-        k = _const_fold(expr.other, self.env)
+        k = self.env.const(expr.other)
         if k is None or k < 0:
             return res
-        core = _strip_casts(expr.cond)
+        core = cparse.strip_casts(expr.cond)
         if (isinstance(core, cparse.CBinary) and core.op in (">", "!=")
-                and _const_fold(core.right, self.env) == 0):
+                and self.env.const(core.right) == 0):
             core = core.left
-        core = _strip_casts(core)
-        then_core = _strip_casts(expr.then)
+        core = cparse.strip_casts(core)
+        then_core = cparse.strip_casts(expr.then)
         if unparse(core) != unparse(then_core):
             return res
         base = self._pure_eval(then_core, state)
@@ -1468,7 +1423,7 @@ class _FnStores:
 
     def _eval_assign(self, expr, state):
         target = expr.target
-        rhs = _strip_casts(expr.value)
+        rhs = cparse.strip_casts(expr.value)
         if (expr.op == "=" and isinstance(rhs, cparse.CCall)
                 and rhs.name == "malloc"):
             return self._malloc(target, rhs, state, expr.lineno)
@@ -1525,7 +1480,7 @@ class _FnStores:
                 return value
             fdecl = self.env.struct_field(struct, target.field)
             fbase, fptr = _split_ctype(fdecl.ctype) if fdecl else ("", 0)
-            if fptr > 0 and fbase in self.env.extract.structs:
+            if fptr > 0 and fbase in self.env.structs:
                 ok = (isinstance(value.ref, _StructPtr)
                       and value.ref.struct == fbase)
                 self.oblige("bounds", lineno, ok,
@@ -1593,7 +1548,7 @@ class _FnStores:
             if pptr == 0 and value.ct is not None:
                 sub[pname] = value.interval
             elif pptr >= 1:
-                stripped = _strip_casts(ast_arg)
+                stripped = cparse.strip_casts(ast_arg)
                 if (isinstance(stripped, cparse.CUnary)
                         and stripped.op == "&"):
                     inner = self._pure_eval(stripped.operand, state)
@@ -1629,7 +1584,7 @@ class _FnStores:
                         f"requires {ann.text!r}")
 
     def _mini_iv(self, expr, sub):
-        expr_s = _strip_casts(expr)
+        expr_s = cparse.strip_casts(expr)
         if isinstance(expr_s, cparse.CNum):
             return iv.const_interval(expr_s.value)
         if isinstance(expr_s, cparse.CName):
@@ -1698,11 +1653,11 @@ class _FnStores:
     def _mem_call(self, expr, state):
         name = expr.name
         lineno = expr.lineno
-        dst = _strip_casts(expr.args[0])
+        dst = cparse.strip_casts(expr.args[0])
         if name == "memset":
             target = self._struct_target(dst, state)
             if target is not None:
-                fill = _const_fold(expr.args[1], self.env)
+                fill = self.env.const(expr.args[1])
                 if fill == 0:
                     self._zero_struct(target, state)
                     return _Value(ct=None)
@@ -1717,7 +1672,7 @@ class _FnStores:
         self._check_mem_extent(name, spec, offset, expr.args[-1],
                                state, lineno)
         if name == "memset":
-            fill = _const_fold(expr.args[1], self.env)
+            fill = self.env.const(expr.args[1])
             if fill == 0:
                 content = iv.const_interval(0)
             elif fill in (0xFF, -1):
@@ -1731,7 +1686,7 @@ class _FnStores:
                         f"{content!r}, contract {spec.content!r}")
         else:
             src_base, src_off = _split_ptr_arith(
-                _strip_casts(expr.args[1]))
+                cparse.strip_casts(expr.args[1]))
             sv = self.eval(src_base, state)
             sspec = sv.ref if isinstance(sv.ref, _BufSpec) else None
             if sspec is None:
@@ -1795,14 +1750,14 @@ class _FnStores:
 
     def _zero_struct(self, target, state):
         struct, prefix, sep = target
-        sdef = self.env.extract.structs.get(struct)
+        sdef = self.env.structs.get(struct)
         if sdef is None:
             return
         for field in sdef.fields:
             base, ptr = _split_ctype(field.ctype)
             if ptr > 0 or field.array_len is not None:
                 continue
-            if base in self.env.extract.structs:
+            if base in self.env.structs:
                 sub = (f"{prefix}{sep}{field.name}"
                        if prefix is not None else None)
                 self._zero_struct((base, sub, "."), state)
@@ -1830,8 +1785,8 @@ class _FnStores:
                 continue
             if decl.init is None:
                 continue
-            init = _strip_casts(decl.init)
-            if decl.ptr > 0 or base in self.env.extract.structs:
+            init = cparse.strip_casts(decl.init)
+            if decl.ptr > 0 or base in self.env.structs:
                 if (isinstance(init, cparse.CCall)
                         and init.name == "malloc"):
                     self.eval(init.args[0], state)
@@ -1863,7 +1818,7 @@ class _FnFlow:
     def refine_into(self, state, cond, sense):
         """Refine *state* assuming ``cond`` is truthy (*sense* True) or
         falsy.  Returns False when the branch is proven unreachable."""
-        cond = _strip_casts(cond)
+        cond = cparse.strip_casts(cond)
         if isinstance(cond, cparse.CNum):
             return bool(cond.value) == sense
         if isinstance(cond, cparse.CUnary) and cond.op == "!":
@@ -2326,17 +2281,17 @@ class _Fn(_FnCore, _FnEval, _FnStores, _FnFlow):
 
 # --------------------------------------------------------------- driver
 
-def analyse_kernel(source, contract, extract=None):
-    """Run the certifier over one kernel source.
+def analyse_kernel(unit, contract):
+    """Run the certifier over one parsed kernel *unit*.
 
-    *extract* is an optional pre-parsed declaration extraction (the
-    project-level cache shares it with the parity passes).  Returns a
-    :class:`KernelReport`; never raises — analysis failures become
-    ``report.error`` / ``report.issues``.
+    The unit is the project's one parse of the kernel source, shared
+    with the parity passes.  Returns a :class:`KernelReport`; never
+    raises — analysis failures become ``report.error`` /
+    ``report.issues``.
     """
     report = KernelReport(contract.path)
     try:
-        env = _Env(source, contract, extract)
+        env = _Env(unit, contract)
     except (cparse.CParseError, CertifyError) as exc:
         report.error = (getattr(exc, "lineno", 0), str(exc))
         return report

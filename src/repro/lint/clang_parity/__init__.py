@@ -1,27 +1,26 @@
 """Cross-language ABI parity extraction for reprolint.
 
-The batched engine duplicates one contract across two languages:
-``_mlpsim_kernel.c`` hard-codes opcode/inhibitor/status ``#define``
-tables, two ``typedef struct`` layouts and the ``mlpsim_batch``
-prototype, while ``ckernel.py``/``columnar.py``/``termination.py``
-mirror them as ctypes structures, ``argtypes`` wiring, enums and a
-versioned payload schema.  Nothing at runtime checks most of it — a
-reordered struct field reads garbage, silently.
+The two compiled kernels duplicate their contracts across two
+languages: ``_mlpsim_kernel.c`` and ``_cyclesim_kernel.c`` hard-code
+``#define`` tables, ``typedef struct`` layouts and an exported batch
+entry point, while their ``ckernel.py`` drivers (plus ``columnar.py``,
+``termination.py`` and ``opclass.py``) mirror them as ctypes
+structures, ``argtypes`` wiring, enums and a versioned payload schema.
+Nothing at runtime checks most of it — a reordered struct field reads
+garbage, silently.
 
 This package recovers both sides so the ``kernel-abi``,
 ``kernel-constants`` and ``schema-version`` passes can diff them on
 every lint run:
 
-* :mod:`repro.lint.clang_parity.cextract` — a small regex +
-  recursive-descent extractor over the C source (**no compiler
-  dependency**): ``#define`` constant tables with evaluated integer
-  values, ``typedef struct`` field lists with declared C types, and
-  exported (non-``static``) function signatures.
+* :mod:`repro.lint.clang_parity.cparse` — the one C front end (**no
+  compiler dependency**): a single parse per kernel records the
+  ``#define`` table with folded integer values, the ``typedef struct``
+  field lists, every function signature and the statement-level
+  bodies the certifier (:mod:`repro.lint.certify`) executes;
 * :mod:`repro.lint.clang_parity.pyextract` — AST-side extractors for
   the Python counterparts: ``ctypes.Structure`` ``_fields_`` layouts,
   ``argtypes``/``restype`` wiring, enum member values and definition
   order, module-level integer constants, and the ``PLAN_COLUMNS``
   payload schema with its fingerprint.
 """
-
-from repro.lint.clang_parity.cextract import extract_c  # noqa: F401

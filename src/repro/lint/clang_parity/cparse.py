@@ -1,11 +1,19 @@
-"""Statement/expression AST for the restricted C subset of the kernels.
+"""The one C front end of reprolint: the kernels' restricted C subset.
 
-:mod:`repro.lint.clang_parity.cextract` stops at declarations — enough
-for the ABI-parity passes, but the certifier (``repro.lint.certify``)
-needs to *execute* the kernels abstractly, which means parsing function
-bodies.  This module supplies that second stage: a tokenizer and a
-recursive-descent parser covering exactly the constructs the two
-shipped kernels use —
+Every pass that reads C goes through :func:`parse_c_unit`, which makes
+one pass over a kernel source and records everything the parity and
+certification layers need:
+
+* the object-like ``#define`` table, each body parsed by the
+  expression parser below and folded by :func:`const_fold` (a define
+  that does not fold is kept with ``value=None``, never guessed);
+* the ``typedef struct`` field lists, parsed as declarations, so the
+  struct names become the unit's type names;
+* every function definition — signature, ``static``-ness and a
+  statement-level body.
+
+The parser is a tokenizer plus recursive descent over exactly the
+constructs the two shipped kernels use —
 
 * declarations with initialisers (including C99 ``for``-init),
 * assignments (``=`` and the compound forms), ``++``/``--``,
@@ -16,7 +24,8 @@ shipped kernels use —
 
 Anything outside the subset (``switch``, ``goto``, ``do``, strings,
 function pointers) raises :class:`CParseError` — the certifier reports
-that as a finding rather than guessing at semantics.
+that as a finding rather than guessing at semantics.  There is no
+compiler dependency.
 
 The parser also collects the two comment-borne side channels the
 certifier consumes:
@@ -28,12 +37,14 @@ certifier consumes:
 * C-side ``reprolint: disable=<pass> -- why`` suppressions, which the
   certify passes apply themselves (the Python-side suppression scanner
   only reads ``#`` comments).
+
+Comments are blanked rather than removed, so every node carries its
+true source line.
 """
 
 import bisect
+import operator
 import re
-
-from repro.lint.clang_parity.cextract import _strip_comments
 
 
 class CParseError(Exception):
@@ -95,6 +106,37 @@ class _LineMap:
 
     def lineno(self, offset):
         return bisect.bisect_right(self.starts, offset)
+
+
+def _strip_comments(source):
+    """Blank out ``/* */`` and ``//`` comments, preserving newlines."""
+    out = []
+    i, n = 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "/" and i + 1 < n and source[i + 1] == "*":
+            end = source.find("*/", i + 2)
+            end = n if end < 0 else end + 2
+            out.append(re.sub(r"[^\n]", " ", source[i:end]))
+            i = end
+        elif ch == "/" and i + 1 < n and source[i + 1] == "/":
+            end = source.find("\n", i)
+            end = n if end < 0 else end
+            out.append(" " * (end - i))
+            i = end
+        elif ch in "\"'":
+            # String/char literals: skip verbatim so a "/*" inside one
+            # does not start a comment.
+            end = i + 1
+            while end < n and source[end] != ch:
+                end += 2 if source[end] == "\\" else 1
+            end = min(end + 1, n)
+            out.append(source[i:end])
+            i = end
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
 
 
 def _tokenize(text, start, end, linemap):
@@ -532,18 +574,37 @@ class _Parser:
         # shadow type names in the kernels).
         return True
 
-    def _parse_declaration(self):
+    def _type_words(self):
         first = self.peek()
         words = []
         while self._is_type_token(self.peek()):
             words.append(self.next().text)
         if not words:
             raise CParseError("expected a type", first.lineno)
-        base_type = " ".join(words)
+        return words
+
+    def _parse_declaration(self):
+        first = self.peek()
+        base_type = " ".join(self._type_words())
         decls = [self._parse_declarator()]
         while self.accept(","):
             decls.append(self._parse_declarator())
         return CDeclStmt(base_type, decls, first.lineno)
+
+    def parse_params(self):
+        """A parameter list as ``[(name, base_type, ptr)]``, with
+        ``const`` dropped from the base type."""
+        if [tok.text for tok in self.tokens] == ["void"]:
+            return []
+        params = []
+        while self.peek() is not None:
+            words = self._type_words()
+            decl = self._parse_declarator()
+            base = " ".join(w for w in words if w != "const")
+            params.append((decl.name, base, decl.ptr))
+            if self.peek() is not None:
+                self.expect(",")
+        return params
 
     def _parse_declarator(self):
         ptr = 0
@@ -754,6 +815,68 @@ def parse_expression_text(text, typenames=frozenset(), lineno=0):
     return expr
 
 
+# -------------------------------------------------- constant folding
+
+def strip_casts(expr):
+    """*expr* with its outer casts removed."""
+    while isinstance(expr, CCast):
+        expr = expr.operand
+    return expr
+
+
+#: Operators the folder evaluates.  C and Python agree on all of them
+#: for integers; ``/`` and ``%`` are left out because C truncates where
+#: Python floors, so a quotient is reported unevaluable, not guessed.
+_FOLD_BINOPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "<<": operator.lshift, ">>": operator.rshift,
+    "&": operator.and_, "|": operator.or_, "^": operator.xor,
+}
+
+
+def const_fold(expr, defines, sizeof=None):
+    """Integer value of a compile-time-constant expression, or ``None``.
+
+    Names resolve through *defines* (``{name: int}``), ``sizeof(type)``
+    through the *sizeof* callable when one is given; casts are
+    transparent.  This is the one integer folder of the C front end:
+    ``#define`` bodies and the certifier's constants both go through it.
+    """
+    expr = strip_casts(expr)
+    if isinstance(expr, CNum):
+        return expr.value
+    if isinstance(expr, CName):
+        return defines.get(expr.name)
+    if isinstance(expr, CSizeof):
+        if isinstance(expr.arg, str) and sizeof is not None:
+            return sizeof(expr.arg)
+        return None
+    if isinstance(expr, CUnary):
+        inner = const_fold(expr.operand, defines, sizeof)
+        if inner is None:
+            return None
+        if expr.op == "-":
+            return -inner
+        if expr.op == "~":
+            return ~inner
+        if expr.op == "!":
+            return int(inner == 0)
+        return None
+    if isinstance(expr, CBinary):
+        fn = _FOLD_BINOPS.get(expr.op)
+        if fn is None:
+            return None
+        left = const_fold(expr.left, defines, sizeof)
+        right = const_fold(expr.right, defines, sizeof)
+        if left is None or right is None:
+            return None
+        try:
+            return fn(left, right)
+        except ValueError:  # a negative shift count
+            return None
+    return None
+
+
 # ------------------------------------------------- functions with bodies
 
 class CFunctionDef:
@@ -797,16 +920,55 @@ class CSuppression:
         self.reason = reason
 
 
+class CDefine:
+    """One object-like ``#define``: name, body text, folded value."""
+
+    __slots__ = ("name", "text", "value", "lineno")
+
+    def __init__(self, name, text, value, lineno):
+        self.name = name
+        self.text = text
+        self.value = value  # int, or None when the body does not fold
+        self.lineno = lineno
+
+
+class CField:
+    """One struct member: declared type, name, optional array length."""
+
+    __slots__ = ("name", "ctype", "array_len", "lineno")
+
+    def __init__(self, name, ctype, array_len, lineno):
+        self.name = name
+        self.ctype = ctype          # e.g. "const int32_t *"
+        self.array_len = array_len  # length expression, or None
+        self.lineno = lineno
+
+
+class CStruct:
+    """A ``typedef struct { ... } Name;`` with its fields in order."""
+
+    __slots__ = ("name", "fields", "lineno")
+
+    def __init__(self, name, fields, lineno):
+        self.name = name
+        self.fields = fields
+        self.lineno = lineno
+
+
 class CUnit:
-    """A deep-parsed C translation unit."""
+    """A parsed C translation unit: declarations and function bodies."""
 
-    __slots__ = ("functions", "annotations", "suppressions", "typenames")
+    __slots__ = ("defines", "structs", "functions", "annotations",
+                 "suppressions", "typenames")
 
-    def __init__(self, functions, annotations, suppressions, typenames):
+    def __init__(self, defines, structs, functions, annotations,
+                 suppressions):
+        self.defines = defines            # name -> CDefine
+        self.structs = structs            # name -> CStruct
         self.functions = functions        # name -> CFunctionDef
         self.annotations = annotations    # list of CAnnotation
         self.suppressions = suppressions  # lineno -> CSuppression
-        self.typenames = typenames
+        self.typenames = frozenset(structs)
 
     def suppressed(self, lineno, pass_id):
         """True if *pass_id* is disabled at *lineno* by a C comment."""
@@ -952,48 +1114,77 @@ def _match_close(text, open_pos, open_char, close_char, linemap):
                       linemap.lineno(open_pos))
 
 
-def _split_params_text(text):
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    tail = "".join(current).strip()
-    if tail:
-        parts.append(tail)
-    return parts
+_DEFINE_RE = re.compile(
+    r"(?m)^[ \t]*#[ \t]*define[ \t]+(?P<name>[A-Za-z_]\w*)(?P<paren>\(?)"
+    r"(?P<body>.*)$"
+)
+
+_TYPEDEF_STRUCT_RE = re.compile(
+    r"\btypedef\s+struct(?:\s+[A-Za-z_]\w*)?\s*\{"
+)
 
 
-def _parse_param_sig(text, lineno):
-    words = text.replace("*", " * ").split()
-    ptr = words.count("*")
-    words = [w for w in words if w != "*"]
-    if not words:
-        raise CParseError(f"cannot parse parameter {text!r}", lineno)
-    if len(words) == 1:  # unnamed (``void``)
-        return None
-    name = words[-1]
-    base = " ".join(w for w in words[:-1] if w != "const")
-    return (name, base, ptr)
+def _scan_structs(stripped, linemap):
+    """``typedef struct { ... } Name;`` blocks, members parsed as
+    declarations (the struct names are the unit's type names)."""
+    blocks = []
+    for match in _TYPEDEF_STRUCT_RE.finditer(stripped):
+        brace = match.end() - 1
+        close = _match_close(stripped, brace, "{", "}", linemap)
+        name = re.match(r"\s*([A-Za-z_]\w*)\s*;", stripped[close + 1:])
+        if name:
+            blocks.append((name.group(1), brace, close,
+                           linemap.lineno(match.start())))
+    typenames = frozenset(name for name, _, _, _ in blocks)
+    structs = {}
+    for name, brace, close, lineno in blocks:
+        parser = _Parser(_tokenize(stripped, brace + 1, close, linemap),
+                         typenames)
+        fields = []
+        while parser.peek() is not None:
+            decl = parser._parse_declaration()
+            parser.expect(";")
+            fields.extend(
+                CField(d.name, " ".join([decl.base_type] + ["*"] * d.ptr),
+                       d.array_len, d.lineno)
+                for d in decl.decls
+            )
+        structs[name] = CStruct(name, fields, lineno)
+    return structs
 
 
-def parse_c_unit(source, typenames):
-    """Deep-parse *source*: every function body, annotations and
+def _scan_defines(stripped, linemap, typenames):
+    """Object-like ``#define``s, each body folded over the ones above."""
+    defines, values = {}, {}
+    for match in _DEFINE_RE.finditer(stripped):
+        if match.group("paren"):
+            continue  # a function-like macro
+        name, text = match.group("name"), match.group("body").strip()
+        lineno = linemap.lineno(match.start())
+        try:
+            value = const_fold(
+                parse_expression_text(text, typenames, lineno), values)
+        except CParseError:
+            value = None
+        defines[name] = CDefine(name, text, value, lineno)
+        values.pop(name, None)
+        if value is not None:
+            values[name] = value
+    return defines
+
+
+def parse_c_unit(source):
+    """Parse *source* in one pass: ``#define``s, ``typedef struct``
+    layouts, every function (signature and body), annotations and
     C-side suppressions.  Raises :class:`CParseError` on anything
     outside the supported subset."""
     stripped = _strip_comments(source)
     linemap = _LineMap(stripped)
     annotations = _scan_annotations(source, linemap)
     suppressions = _scan_suppressions(source, linemap)
-    typenames = frozenset(typenames)
+    structs = _scan_structs(stripped, linemap)
+    typenames = frozenset(structs)
+    defines = _scan_defines(stripped, linemap, typenames)
 
     functions = {}
     for match in _FUNC_DEF_RE.finditer(stripped):
@@ -1013,22 +1204,16 @@ def parse_c_unit(source, typenames):
         if after >= len(stripped) or stripped[after] != "{":
             continue  # a prototype, not a definition
         body_close = _match_close(stripped, after, "{", "}", linemap)
-        lineno = linemap.lineno(match.start())
-
-        params = []
-        params_text = stripped[open_paren + 1:close_paren]
-        if params_text.strip() and params_text.strip() != "void":
-            for part in _split_params_text(params_text):
-                sig = _parse_param_sig(part, lineno)
-                if sig is not None:
-                    params.append(sig)
-
+        params = _Parser(
+            _tokenize(stripped, open_paren + 1, close_paren, linemap),
+            typenames,
+        ).parse_params()
         tokens = _tokenize(stripped, after + 1, body_close, linemap)
-        parser = _Parser(tokens, typenames)
-        body = parser.parse_statements_until_end()
+        body = _Parser(tokens, typenames).parse_statements_until_end()
         functions[name] = CFunctionDef(
-            name, return_type, params, body, lineno, static
+            name, return_type, params, body,
+            linemap.lineno(match.start()), static,
         )
 
     _attach_annotations(functions, annotations)
-    return CUnit(functions, annotations, suppressions, typenames)
+    return CUnit(defines, structs, functions, annotations, suppressions)

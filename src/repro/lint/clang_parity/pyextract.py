@@ -1,8 +1,8 @@
 """AST extractors for the Python half of the kernel ABI contract.
 
-Counterparts to :mod:`repro.lint.clang_parity.cextract`, recovered
-from parsed modules (never by importing them — lint must work on a
-tree that does not import):
+Counterparts to the C declarations :mod:`repro.lint.clang_parity.cparse`
+records, recovered from parsed modules (never by importing them — lint
+must work on a tree that does not import):
 
 * ``ctypes.Structure`` subclasses and their ``_fields_`` layouts
   (:func:`ctypes_structs`), including ``c_int64 * len(...)`` array
@@ -12,8 +12,7 @@ tree that does not import):
 * enum member definition order and constant values
   (:func:`enum_members`);
 * module-level integer constants like ``NOT_EXECUTED = 1 << 30``
-  (:func:`int_constant`), folded with the same operator whitelist the
-  C extractor uses;
+  (:func:`int_constant`), folded over an integer operator whitelist;
 * attribute tuples like ``INHIBITOR_ORDER`` (:func:`attr_tuple`) and
   string-to-int contract dicts like ``_EXPECTED_OPS``
   (:func:`int_dict`);
@@ -29,9 +28,25 @@ exercises.
 
 import ast
 import hashlib
+import operator
 
 from repro.lint.astutil import call_name, dotted_name, str_constant
-from repro.lint.clang_parity.cextract import _INT_BINOPS, _INT_UNARYOPS
+
+#: Binary operators an integer constant expression may use.  True
+#: division is absent: ``/`` yields a float in Python.
+_INT_BINOPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.FloorDiv: operator.floordiv,
+    ast.Mod: operator.mod,
+    ast.LShift: operator.lshift,
+    ast.RShift: operator.rshift,
+    ast.BitOr: operator.or_,
+    ast.BitAnd: operator.and_,
+    ast.BitXor: operator.xor,
+}
+_INT_UNARYOPS = (ast.UAdd, ast.USub, ast.Invert)
 
 
 def _last_segment(name):
@@ -41,8 +56,8 @@ def _last_segment(name):
 def fold_int(node, env=None):
     """Fold a constant integer expression AST, or ``None``.
 
-    The same operator whitelist as the C define evaluator, so the two
-    sides of a constant like ``1 << 30`` are compared value-to-value
+    Python-side constants like ``1 << 30`` fold to the value their C
+    ``#define`` folds to, so the two sides are compared value-to-value
     rather than text-to-text.
     """
     env = env or {}

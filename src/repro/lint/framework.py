@@ -20,6 +20,7 @@ import ast
 import pathlib
 import re
 
+from repro.lint.clang_parity.cparse import CParseError, parse_c_unit
 from repro.lint.findings import Finding, Severity
 from repro.robustness.errors import ConfigError
 
@@ -103,12 +104,12 @@ class Project:
         #: ``(relpath, kind)`` -> number of times that file's AST was
         #: built this run.  ``kind`` distinguishes the parsers that
         #: legitimately each run once over a file ("py" for the Python
-        #: AST, "c-extract" for kernel declarations, "c-unit" for the
-        #: certifier's statement bodies); the lint test suite asserts
-        #: every count stays at exactly 1, which is what makes the
-        #: shared caches below load-bearing rather than decorative.
+        #: AST, "c-unit" for the one parse of a C kernel); the lint
+        #: test suite asserts every count stays at exactly 1, which is
+        #: what makes the shared caches below load-bearing rather than
+        #: decorative.
         self.parse_counts = {}
-        self._c_extracts = {}
+        self._c_units = {}
         relpaths = set()
         for source_root in SOURCE_ROOTS:
             base = self.root / source_root
@@ -150,25 +151,31 @@ class Project:
             return None
         return path.read_text().replace("\r\n", "\n")
 
-    def c_extract(self, relpath):
-        """Declaration-level extraction of a C source, parsed once.
+    def c_unit(self, relpath):
+        """The one parse of a C source, by :mod:`.clang_parity.cparse`.
 
-        Every pass that needs the kernel's structs/defines/prototypes
-        goes through this cache (``kernel-abi``, ``kernel-constants``
-        and the certify layer all read the same files), so one lint
-        run parses each C source exactly once.  Returns ``None`` when
-        the file is absent.
+        ``kernel-abi``, ``kernel-constants`` and the certify layer all
+        read the kernels' defines, structs, signatures and bodies from
+        this cache, so one lint run parses each C source exactly once.
+        Returns ``None`` when the file is absent; a source outside the
+        supported C subset raises the same
+        :class:`~repro.lint.clang_parity.cparse.CParseError` on every
+        call (``kernel-bounds`` is the pass that reports it).
         """
-        if relpath not in self._c_extracts:
+        if relpath not in self._c_units:
             source = self.read_text(relpath)
-            if source is None:
-                self._c_extracts[relpath] = None
-            else:
-                from repro.lint.clang_parity.cextract import extract_c
-
-                self.count_parse(relpath, "c-extract")
-                self._c_extracts[relpath] = extract_c(source)
-        return self._c_extracts[relpath]
+            unit = None
+            if source is not None:
+                self.count_parse(relpath, "c-unit")
+                try:
+                    unit = parse_c_unit(source)
+                except CParseError as exc:
+                    unit = exc
+            self._c_units[relpath] = unit
+        unit = self._c_units[relpath]
+        if isinstance(unit, Exception):
+            raise unit
+        return unit
 
 
 class LintPass:

@@ -1,24 +1,29 @@
-"""kernel-abi: ctypes layouts and argtypes must match the C kernel.
+"""kernel-abi: ctypes layouts and argtypes must match each C kernel.
 
-``ckernel.py`` drives ``_mlpsim_kernel.c`` through :mod:`ctypes`:
-``_KernelConfig``/``_KernelResult`` mirror the ``typedef struct``
-layouts and ``mlpsim_batch.argtypes`` mirrors the function prototype.
-Nothing checks any of it at runtime — ctypes trusts the caller, so a
-reordered or retyped field silently reads the wrong bytes and the
-equivalence suite turns into a debugging session (or, worse, passes on
-one compiler's padding and fails on another's).
+Every kernel contract (:func:`repro.lint.certify.contracts.kernel_contracts`)
+pairs a C kernel with the ``ckernel.py`` driver that loads it through
+:mod:`ctypes`: ``_KernelConfig``/``_KernelResult`` in
+``repro/core/ckernel.py`` mirror ``_mlpsim_kernel.c``,
+``_CycleConfig``/``_CycleResult`` in ``repro/cyclesim/ckernel.py``
+mirror ``_cyclesim_kernel.c``, and each driver's ``argtypes`` mirror
+the contract's entry function.  Nothing checks any of it at runtime —
+ctypes trusts the caller, so a reordered or retyped field silently
+reads the wrong bytes and the equivalence suite turns into a debugging
+session (or, worse, passes on one compiler's padding and fails on
+another's).
 
-This pass extracts both sides (:mod:`repro.lint.clang_parity`) and
-diffs them:
+This pass recovers both sides (:mod:`repro.lint.clang_parity`) and
+diffs them, for every contract whose driver is in the tree:
 
-* every ctypes ``_fields_`` entry must match the C struct member at
-  the same position — name, scalar type (``c_int64`` ↔ ``int64_t``),
-  and array-ness;
-* ``argtypes`` must match the C parameter list position by position
-  (``c_void_p`` matches any pointer; ``POINTER(_X)`` matches ``X *``)
-  and ``restype`` the C return type;
-* a missing C source next to a live ``ckernel.py`` is itself a
-  finding — deleting the kernel must not silently pass.
+* every ctypes structure ``_X`` in the driver pairs with the C
+  ``typedef struct ... X;``, and every ``_fields_`` entry must match
+  the C member at the same position — name, scalar type
+  (``c_int64`` ↔ ``int64_t``), and array-ness;
+* ``argtypes`` must match the entry function's C parameter list
+  position by position (``c_void_p`` matches any pointer;
+  ``POINTER(_X)`` matches ``X *``) and ``restype`` its return type;
+* a missing C source next to a live driver is itself a finding —
+  deleting the kernel must not silently pass.
 
 One finding per structure/prototype (the first mismatching position),
 naming the Python and C lines of the disagreeing pair.
@@ -26,11 +31,10 @@ naming the Python and C lines of the disagreeing pair.
 
 import re
 
+from repro.lint.certify.contracts import kernel_contracts
+from repro.lint.clang_parity.cparse import CParseError
 from repro.lint.clang_parity.pyextract import argtypes_wiring, ctypes_structs
 from repro.lint.framework import LintPass, register
-
-C_KERNEL_PATH = "src/repro/core/_mlpsim_kernel.c"
-CKERNEL_PATH = "src/repro/core/ckernel.py"
 
 #: ctypes scalar names and the C spellings they bind to.
 _SCALARS = {
@@ -41,14 +45,6 @@ _SCALARS = {
     "c_int": "int", "c_long": "long", "c_size_t": "size_t",
     "c_float": "float", "c_double": "double", "c_char": "char",
 }
-
-#: Python struct name -> C struct name (underscore-private convention).
-_STRUCT_PAIRS = (
-    ("_KernelConfig", "KernelConfig"),
-    ("_KernelResult", "KernelResult"),
-)
-
-_C_ENTRY_POINT = "mlpsim_batch"
 
 
 def _bare_ctype(c_type):
@@ -71,39 +67,42 @@ def _scalar_matches(py_ctype, c_type):
 class KernelAbiPass(LintPass):
     id = "kernel-abi"
     description = (
-        "ctypes struct layouts and argtypes in ckernel.py must match"
-        " the structs and prototypes of _mlpsim_kernel.c"
+        "ctypes struct layouts and argtypes in each ckernel.py driver"
+        " must match the structs and prototype of its C kernel"
     )
 
     def check_project(self, project):
-        ck = project.module(CKERNEL_PATH)
-        if ck is None or ck.tree is None:
-            return
-        extract = project.c_extract(C_KERNEL_PATH)
-        if extract is None:
-            yield self.finding(
-                ck, 1,
-                f"{C_KERNEL_PATH} is missing: ckernel.py binds a C"
-                " kernel that is not in the tree",
-            )
-            return
-        py_structs = ctypes_structs(ck.tree)
-        for py_name, c_name in _STRUCT_PAIRS:
-            py_struct = py_structs.get(py_name)
-            if py_struct is None:
+        for contract in kernel_contracts():
+            driver = project.module(contract.driver_path)
+            if driver is None or driver.tree is None:
                 continue
-            yield from self._check_struct(ck, py_struct, c_name,
-                                          extract.structs.get(c_name))
-        yield from self._check_prototype(ck, extract)
+            try:
+                unit = project.c_unit(contract.path)
+            except CParseError:
+                continue  # kernel-bounds reports the parse failure
+            if unit is None:
+                yield self.finding(
+                    driver, 1,
+                    f"{contract.path} is missing: {driver.relpath} binds"
+                    " a C kernel that is not in the tree",
+                )
+                continue
+            for py_struct in ctypes_structs(driver.tree).values():
+                if py_struct.name.startswith("_"):
+                    yield from self._check_struct(
+                        driver, py_struct, contract.path, unit)
+            yield from self._check_prototype(driver, contract, unit)
 
     # -- struct layouts ------------------------------------------------
 
-    def _check_struct(self, ck, py_struct, c_name, c_struct):
+    def _check_struct(self, ck, py_struct, c_path, unit):
+        c_name = py_struct.name.lstrip("_")
+        c_struct = unit.structs.get(c_name)
         if c_struct is None:
             yield self.finding(
                 ck, py_struct.lineno,
                 f"no `typedef struct ... {c_name};` found in"
-                f" {C_KERNEL_PATH} for ctypes layout {py_struct.name}",
+                f" {c_path} for ctypes layout {py_struct.name}",
             )
             return
         for position, (py_field, c_field) in enumerate(
@@ -129,7 +128,7 @@ class KernelAbiPass(LintPass):
                     ck, py_field.lineno,
                     f"{py_struct.name} field #{position}"
                     f" ({py_field.name!r}) {problem}"
-                    f" ({C_KERNEL_PATH}:{c_field.lineno}); ctypes reads"
+                    f" ({c_path}:{c_field.lineno}); ctypes reads"
                     " raw offsets, so the layouts must match"
                     " field-for-field",
                 )
@@ -139,41 +138,43 @@ class KernelAbiPass(LintPass):
                 ck, py_struct.lineno,
                 f"{py_struct.name} has {len(py_struct.fields)} fields"
                 f" but {c_name} has {len(c_struct.fields)}"
-                f" ({C_KERNEL_PATH}:{c_struct.lineno})",
+                f" ({c_path}:{c_struct.lineno})",
             )
 
     # -- function prototype --------------------------------------------
 
-    def _check_prototype(self, ck, extract):
+    def _check_prototype(self, ck, contract, unit):
         wirings = argtypes_wiring(ck.tree)
         if not wirings:
             return
-        c_fn = extract.functions.get(_C_ENTRY_POINT)
-        if c_fn is None:
+        entry, c_path = contract.entry, contract.path
+        c_fn = unit.functions.get(entry)
+        if c_fn is None or c_fn.static:
             yield self.finding(
                 ck, wirings[0].lineno,
-                f"argtypes are wired but no exported {_C_ENTRY_POINT}()"
-                f" definition was extracted from {C_KERNEL_PATH}",
+                f"argtypes are wired but no exported {entry}()"
+                f" definition was found in {c_path}",
             )
             return
+        c_params = [(f"{base}{' *' * ptr}", name)
+                    for name, base, ptr in c_fn.params]
         for wiring in wirings:
-            if len(wiring.argtypes) != len(c_fn.params):
+            if len(wiring.argtypes) != len(c_params):
                 yield self.finding(
                     ck, wiring.lineno,
                     f"argtypes lists {len(wiring.argtypes)} parameters"
-                    f" but {_C_ENTRY_POINT} takes {len(c_fn.params)}"
-                    f" ({C_KERNEL_PATH}:{c_fn.lineno})",
+                    f" but {entry} takes {len(c_params)}"
+                    f" ({c_path}:{c_fn.lineno})",
                 )
                 continue
             for position, ((py_ctype, py_lineno), (c_type, c_param)) in \
-                    enumerate(zip(wiring.argtypes, c_fn.params)):
+                    enumerate(zip(wiring.argtypes, c_params)):
                 if not _scalar_matches(py_ctype, c_type):
                     yield self.finding(
                         ck, py_lineno,
                         f"argtypes[{position}] is {py_ctype} but"
-                        f" {_C_ENTRY_POINT} parameter"
-                        f" {c_param or position} is {c_type}"
-                        f" ({C_KERNEL_PATH}:{c_fn.lineno})",
+                        f" {entry} parameter {c_param} is {c_type}"
+                        f" ({c_path}:{c_fn.lineno})",
                     )
                     break
             else:
@@ -183,6 +184,6 @@ class KernelAbiPass(LintPass):
                     yield self.finding(
                         ck, wiring.restype_lineno or wiring.lineno,
                         f"restype is {wiring.restype} but"
-                        f" {_C_ENTRY_POINT} returns {c_fn.return_type}"
-                        f" ({C_KERNEL_PATH}:{c_fn.lineno})",
+                        f" {entry} returns {c_fn.return_type}"
+                        f" ({c_path}:{c_fn.lineno})",
                     )

@@ -1,14 +1,17 @@
 """kernel-constants: C ``#define`` tables bit-identical to Python enums.
 
-The C kernel hard-codes every enum it shares with the Python engines:
-opcodes (``OP_*`` ↔ :class:`repro.isa.opclass.OpClass`), inhibitor
-indices (``INH_*`` ↔ the definition order of
-:class:`repro.core.termination.Inhibitor`), execute statuses (``ST_*``
-↔ ``ckernel._EXPECTED_STATUSES``) and the ``NOT_EXECUTED`` sentinel
-(↔ ``repro.core.mlpsim.NOT_EXECUTED``).  Runtime verification in
-``ckernel._verify_constants`` covers the opcode values and the
-inhibitor *count* — but not the inhibitor order, the statuses or the
-sentinel, which until this pass agreed only by luck.
+Both C kernels hard-code the enums they share with the Python engines.
+Every kernel contract (:func:`repro.lint.certify.contracts.kernel_contracts`)
+whose ``ckernel.py`` driver is in the tree has its opcode table
+(``OP_*`` ↔ :class:`repro.isa.opclass.OpClass`) checked — in
+``_mlpsim_kernel.c`` and ``_cyclesim_kernel.c`` alike.  The MLPsim
+kernel also carries inhibitor indices (``INH_*`` ↔ the definition
+order of :class:`repro.core.termination.Inhibitor`), execute statuses
+(``ST_*`` ↔ ``ckernel._EXPECTED_STATUSES``) and the ``NOT_EXECUTED``
+sentinel (↔ ``repro.core.mlpsim.NOT_EXECUTED``).  Runtime verification
+in each ``ckernel._verify_constants`` covers the opcode values (and,
+for MLPsim, the inhibitor *count*) — but not the inhibitor order, the
+statuses or the sentinel, which until this pass agreed only by luck.
 
 Checks (each disagreeing constant is one finding naming the C and
 Python lines):
@@ -25,12 +28,14 @@ Python lines):
 * every ``ST_<NAME>`` define equals ``ckernel._EXPECTED_STATUSES``;
 * the ``NOT_EXECUTED`` defines agree across the languages.
 
-If the C file is present but the extractor recovers no constants at
-all, that is reported too — a silent extraction failure must not read
-as "everything matches" (CI's ``lint-parity`` smoke also guards this
-by mutating a define and expecting a finding).
+If a C file is present but the front end recovers no constants at
+all, that is reported too — a silent parse failure must not read as
+"everything matches" (CI's ``lint-parity`` smoke also guards this by
+mutating a define in each kernel and expecting a finding).
 """
 
+from repro.lint.certify.contracts import MLPSIM_CONTRACT, kernel_contracts
+from repro.lint.clang_parity.cparse import CParseError
 from repro.lint.clang_parity.pyextract import (
     attr_tuple,
     enum_members,
@@ -39,8 +44,6 @@ from repro.lint.clang_parity.pyextract import (
 )
 from repro.lint.framework import LintPass, register
 
-C_KERNEL_PATH = "src/repro/core/_mlpsim_kernel.c"
-CKERNEL_PATH = "src/repro/core/ckernel.py"
 OPCLASS_PATH = "src/repro/isa/opclass.py"
 TERMINATION_PATH = "src/repro/core/termination.py"
 ENGINE_PATH = "src/repro/core/mlpsim.py"
@@ -51,38 +54,48 @@ class KernelConstantsPass(LintPass):
     id = "kernel-constants"
     description = (
         "opcode/inhibitor/status/NOT_EXECUTED constants must be"
-        " bit-identical between _mlpsim_kernel.c and the Python enums"
+        " bit-identical between the C kernels and the Python enums"
     )
 
     def check_project(self, project):
-        extract = project.c_extract(C_KERNEL_PATH)
-        if extract is None:
-            return  # kernel-abi reports a missing C file
-        if not extract.defines:
-            module = project.module(CKERNEL_PATH)
-            if module is not None:
+        for contract in kernel_contracts():
+            driver = project.module(contract.driver_path)
+            if driver is None:
+                continue
+            try:
+                unit = project.c_unit(contract.path)
+            except CParseError:
+                continue  # kernel-bounds reports the parse failure
+            if unit is None:
+                continue  # kernel-abi reports a missing C file
+            if not unit.defines:
                 yield self.finding(
-                    module, 1,
-                    f"no #define constants extracted from"
-                    f" {C_KERNEL_PATH}; the parity extractor matched"
-                    " nothing, which would make every constant check"
-                    " vacuous",
+                    driver, 1,
+                    f"no #define constants found in {contract.path};"
+                    " the C front end matched nothing, which would make"
+                    " every constant check vacuous",
                 )
-            return
-        yield from self._check_prefixed_table(
-            project, extract, "OP_", OPCLASS_PATH,
-            self._opclass_values(project), "OpClass",
-        )
+                continue
+            yield from self._check_prefixed_table(
+                project, unit, contract.path, "OP_", OPCLASS_PATH,
+                self._opclass_values(project), "OpClass",
+            )
+            if contract is MLPSIM_CONTRACT:
+                yield from self._check_mlpsim_tables(project, unit,
+                                                     driver)
+
+    def _check_mlpsim_tables(self, project, unit, driver):
+        c_path = MLPSIM_CONTRACT.path
         inhibitors = self._inhibitor_order(project)
         yield from self._check_prefixed_table(
-            project, extract, "INH_", TERMINATION_PATH,
+            project, unit, c_path, "INH_", TERMINATION_PATH,
             inhibitors, "Inhibitor definition order",
             skip={"INH_COUNT"},
         )
-        yield from self._check_inh_count(project, extract, inhibitors)
-        yield from self._check_inhibitor_order_tuple(project, inhibitors)
-        yield from self._check_statuses(project, extract)
-        yield from self._check_not_executed(project, extract)
+        yield from self._check_inh_count(project, unit, inhibitors)
+        yield from self._check_inhibitor_order_tuple(driver, inhibitors)
+        yield from self._check_statuses(project, unit, driver)
+        yield from self._check_not_executed(project, unit)
 
     # -- Python-side tables --------------------------------------------
 
@@ -113,20 +126,21 @@ class KernelConstantsPass(LintPass):
 
     # -- define-table diffing ------------------------------------------
 
-    def _check_prefixed_table(self, project, extract, prefix, py_path,
-                              expected, table_label, skip=frozenset()):
+    def _check_prefixed_table(self, project, unit, c_path, prefix,
+                              py_path, expected, table_label,
+                              skip=frozenset()):
         if expected is None:
             return
         module = project.module(py_path)
         defines = {
-            name: define for name, define in extract.defines.items()
+            name: define for name, define in unit.defines.items()
             if name.startswith(prefix) and name not in skip
         }
         if not defines:
             yield self.finding(
                 module, 1,
                 f"{table_label} exists but no {prefix}* defines were"
-                f" extracted from {C_KERNEL_PATH}; the C kernel and the"
+                f" found in {c_path}; the C kernel and the"
                 " Python table cannot be compared",
             )
             return
@@ -136,7 +150,7 @@ class KernelConstantsPass(LintPass):
             if member not in expected:
                 yield self.finding(
                     module, 1,
-                    f"{C_KERNEL_PATH}:{define.lineno} defines {name}"
+                    f"{c_path}:{define.lineno} defines {name}"
                     f" but {table_label} has no member {member!r}",
                 )
                 continue
@@ -147,7 +161,7 @@ class KernelConstantsPass(LintPass):
                 yield self.finding(
                     module, lineno,
                     f"{member} is {value} here but"
-                    f" {C_KERNEL_PATH}:{define.lineno} defines"
+                    f" {c_path}:{define.lineno} defines"
                     f" {name} as {got}; the kernel would"
                     " mis-decode every record",
                 )
@@ -156,30 +170,30 @@ class KernelConstantsPass(LintPass):
                 yield self.finding(
                     module, lineno,
                     f"{table_label} member {member} has no"
-                    f" {prefix}{member} define in {C_KERNEL_PATH};"
+                    f" {prefix}{member} define in {c_path};"
                     " the C kernel does not know this value",
                 )
 
     # -- individual contracts ------------------------------------------
 
-    def _check_inh_count(self, project, extract, inhibitors):
+    def _check_inh_count(self, project, unit, inhibitors):
         if inhibitors is None:
             return
         module = project.module(TERMINATION_PATH)
-        count = extract.define_value("INH_COUNT")
-        if count is None:
+        define = unit.defines.get("INH_COUNT")
+        if define is None or define.value is None:
             return  # absence of the whole INH_* table is reported above
-        if count != len(inhibitors):
-            define = extract.defines["INH_COUNT"]
+        if define.value != len(inhibitors):
             yield self.finding(
                 module, 1,
-                f"INH_COUNT is {count} ({C_KERNEL_PATH}:{define.lineno})"
+                f"INH_COUNT is {define.value}"
+                f" ({MLPSIM_CONTRACT.path}:{define.lineno})"
                 f" but Inhibitor has {len(inhibitors)} members — the"
                 " kernel's inhibitors[] array and the InhibitorCounts"
                 " tally would disagree in size",
             )
 
-    def _check_inhibitor_order_tuple(self, project, inhibitors):
+    def _check_inhibitor_order_tuple(self, module, inhibitors):
         """ckernel.INHIBITOR_ORDER must equal Inhibitor definition order.
 
         This is the half of the contract ``_verify_constants`` never
@@ -187,10 +201,7 @@ class KernelConstantsPass(LintPass):
         table mislabels every inhibitor count without failing a test
         that does not inspect per-inhibitor values.
         """
-        if inhibitors is None:
-            return
-        module = project.module(CKERNEL_PATH)
-        if module is None or module.tree is None:
+        if inhibitors is None or module.tree is None:
             return
         order = attr_tuple(module.tree, "INHIBITOR_ORDER")
         if order is None:
@@ -215,9 +226,8 @@ class KernelConstantsPass(LintPass):
                 f" Inhibitor defines {len(inhibitors)}",
             )
 
-    def _check_statuses(self, project, extract):
-        module = project.module(CKERNEL_PATH)
-        if module is None or module.tree is None:
+    def _check_statuses(self, project, unit, module):
+        if module.tree is None:
             return
         statuses = int_dict(module.tree, "_EXPECTED_STATUSES")
         if statuses is None:
@@ -227,16 +237,16 @@ class KernelConstantsPass(LintPass):
             name: (value, dict_lineno) for name, value in expected.items()
         }
         yield from self._check_prefixed_table(
-            project, extract, "ST_", CKERNEL_PATH, table,
-            "_EXPECTED_STATUSES",
+            project, unit, MLPSIM_CONTRACT.path, "ST_", module.relpath,
+            table, "_EXPECTED_STATUSES",
         )
 
-    def _check_not_executed(self, project, extract):
+    def _check_not_executed(self, project, unit):
         module = project.module(ENGINE_PATH)
         if module is None or module.tree is None:
             return
         py_value = int_constant(module.tree, "NOT_EXECUTED")
-        define = extract.defines.get("NOT_EXECUTED")
+        define = unit.defines.get("NOT_EXECUTED")
         if py_value is None or define is None:
             return
         value, lineno = py_value
@@ -244,7 +254,7 @@ class KernelConstantsPass(LintPass):
             yield self.finding(
                 module, lineno,
                 f"NOT_EXECUTED is {value} here but"
-                f" {C_KERNEL_PATH}:{define.lineno} defines"
+                f" {MLPSIM_CONTRACT.path}:{define.lineno} defines"
                 f" {define.value}; the sentinel must be bit-identical"
                 " across the engines",
             )

@@ -227,10 +227,10 @@ class TestCli:
 
 class TestFrameworkDetails:
     def test_every_file_parsed_exactly_once(self):
-        """The shared AST/extract cache means no pass re-parses a file:
-        every (file, parse-kind) ledger entry is exactly 1 even with
-        all nineteen passes running — including both C parse kinds
-        (the declaration extract and the full statement-level unit)."""
+        """The shared parse caches mean no pass re-parses a file: every
+        (file, parse-kind) ledger entry is exactly 1 even with all
+        nineteen passes running — and a C kernel has a single parse
+        kind, the one unit the parity and certify passes share."""
         stats = {}
         run_lint(FIXTURES / "plan_contract" / "clean", stats=stats)
         assert stats["parse_counts"], "parse ledger is empty"
@@ -240,7 +240,7 @@ class TestFrameworkDetails:
         }
         assert repeated == {}
         kinds = {kind for _, kind in stats["parse_counts"]}
-        assert kinds == {"py", "c-extract", "c-unit"}
+        assert kinds == {"py", "c-unit"}
         assert stats["files_parsed"] == len(
             {relpath for relpath, _ in stats["parse_counts"]}
         )

@@ -12,25 +12,49 @@ C kernels, a typestate-protocol violation — or an unprovable kernel
 subscript/overflow or a plan-contract drift: the interval
 certification (``kernel-bounds``/``kernel-overflow``/``plan-contract``)
 is part of this tier, so the compiled kernels stay machine-checked
-against the ranges the Python validators enforce.  The assertion
-output carries the exact file, line and message.
+against the ranges the Python validators enforce.  The lint runs once
+per session, through the CLI with ``--format json``, and both tests
+read that one result; the assertion output carries the exact file,
+line and message.
 """
 
+import contextlib
+import io
+import json
 import pathlib
 
+import pytest
+
 from repro.cli import main
-from repro.lint import Severity, run_lint
+from repro.lint import Severity
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_repository_is_lint_clean():
-    findings = run_lint(REPO_ROOT)
-    errors = [f for f in findings if f.severity is Severity.ERROR]
-    report = "\n".join(f.format() for f in errors)
-    assert errors == [], f"reprolint found violations:\n{report}"
+@pytest.fixture(scope="module")
+def lint_run():
+    """One full-tree ``repro lint --format json`` run, shared by the
+    tests below: ``(exit code, findings as dicts)``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["lint", "--root", str(REPO_ROOT), "--format", "json"])
+    return code, json.loads(out.getvalue())
 
 
-def test_cli_exits_zero_on_repository(capsys):
-    assert main(["lint", "--root", str(REPO_ROOT)]) == 0
-    assert "0 finding(s)" in capsys.readouterr().out
+def _report(findings):
+    return "\n".join(
+        f"{f['path']}:{f['line']}: [{f['pass']}] {f['severity']}:"
+        f" {f['message']}"
+        for f in findings
+    )
+
+
+def test_repository_is_lint_clean(lint_run):
+    _, findings = lint_run
+    errors = [f for f in findings if f["severity"] == Severity.ERROR.value]
+    assert errors == [], f"reprolint found violations:\n{_report(errors)}"
+
+
+def test_cli_exits_zero_on_repository(lint_run):
+    code, findings = lint_run
+    assert code == 0, f"repro lint exited {code}:\n{_report(findings)}"

@@ -1,9 +1,10 @@
 """Tests for the cross-language ABI parity layer of reprolint.
 
-Covers the three clang-parity passes (``kernel-abi``,
-``kernel-constants``, ``schema-version``) over their fixture pairs,
-the mutation scenarios the passes exist for (run against copies of the
-*real* kernel/binding/columnar sources), and the
+Covers the ``#define`` folding of the C front end, the three
+clang-parity passes (``kernel-abi``, ``kernel-constants``,
+``schema-version``) over their fixture pairs, the mutation scenarios
+the passes exist for (run against copies of the *real* kernel/binding/
+columnar sources, for both C kernels), and the
 ``repro lint --manifest-update`` regeneration flow with its
 dirty-tree interlock.
 """
@@ -16,6 +17,7 @@ import pytest
 
 from repro.cli import main
 from repro.lint import run_lint
+from repro.lint.clang_parity.cparse import parse_c_unit
 from repro.lint.manifest import (
     CYCLESIM_ORACLE_PATH,
     CYCLESIM_ORACLE_SHA256,
@@ -42,12 +44,16 @@ PARITY_FIXTURES = {
 
 C_KERNEL = "src/repro/core/_mlpsim_kernel.c"
 CKERNEL = "src/repro/core/ckernel.py"
+CYCLE_KERNEL = "src/repro/cyclesim/_cyclesim_kernel.c"
+CYCLE_CKERNEL = "src/repro/cyclesim/ckernel.py"
 
 #: Everything the three parity passes read, copied verbatim from the
 #: real tree so mutation tests exercise the production contract.
 _PARITY_SOURCES = (
     C_KERNEL,
     CKERNEL,
+    CYCLE_KERNEL,
+    CYCLE_CKERNEL,
     "src/repro/isa/opclass.py",
     "src/repro/core/termination.py",
     "src/repro/core/mlpsim.py",
@@ -56,6 +62,47 @@ _PARITY_SOURCES = (
     ORACLE_PATH,
     CYCLESIM_ORACLE_PATH,
 )
+
+
+def _defines(source):
+    return {name: d.value for name, d in parse_c_unit(source).defines.items()}
+
+
+class TestDefineFolding:
+    """``#define`` bodies go through the C expression parser and the
+    one integer folder, so identifiers are never mangled as literals."""
+
+    def test_define_referencing_a_define(self):
+        defines = _defines("#define CELL 4\n#define TWO_CELLS (CELL * 2)\n")
+        assert defines == {"CELL": 4, "TWO_CELLS": 8}
+
+    def test_name_ending_in_a_suffix_letter_is_not_stripped(self):
+        defines = _defines(
+            "#define MODE 100\n#define MODEL 4\n#define NEXT (MODEL + 1)\n"
+        )
+        assert defines["NEXT"] == 5
+
+    def test_negative_quotient_is_never_floored(self):
+        assert _defines("#define HALF (-7 / 2)\n")["HALF"] in (-3, None)
+
+    def test_literal_suffixes_and_shifts(self):
+        defines = _defines("#define BITS 15\n#define NEVER (1LL << 60)\n"
+                           "#define SIZE (1u << BITS)\n")
+        assert defines == {"BITS": 15, "NEVER": 1 << 60, "SIZE": 1 << 15}
+
+    def test_unfoldable_define_is_recorded_without_a_value(self):
+        unit = parse_c_unit('#define GREETING "hi"\n#define LATER UNKNOWN\n'
+                            "#define SQUARE(x) ((x) * (x))\n")
+        assert set(unit.defines) == {"GREETING", "LATER"}
+        assert unit.defines["LATER"].value is None
+        assert unit.defines["LATER"].text == "UNKNOWN"
+
+    def test_unfoldable_define_is_reported_with_its_text(self, tmp_path):
+        root = _real_tree(tmp_path)
+        _edit(root, C_KERNEL, "#define OP_LOAD 1", "#define OP_LOAD LOAD_OP")
+        findings = run_lint(root, select=["kernel-constants"])
+        assert len(findings) == 1
+        assert "<unevaluable: LOAD_OP>" in findings[0].message
 
 
 class TestParityFixtures:
@@ -72,6 +119,19 @@ class TestParityFixtures:
         )
         assert len(findings) == expected
         assert all(f.pass_id == pass_id for f in findings)
+
+    def test_unparsable_kernel_is_reported_once(self, tmp_path):
+        """A kernel outside the C subset is one kernel-bounds finding;
+        the parity passes skip it instead of repeating the error."""
+        root = tmp_path / "tree"
+        shutil.copytree(FIXTURES / "kernel_abi" / "clean", root)
+        _edit(root, C_KERNEL, "    return BATCH_MAGIC",
+              "    goto out;\n    return BATCH_MAGIC")
+        findings = run_lint(
+            root, select=["kernel-abi", "kernel-constants", "kernel-bounds"]
+        )
+        assert [f.pass_id for f in findings] == ["kernel-bounds"]
+        assert "unsupported construct 'goto'" in findings[0].message
 
     def test_reordered_struct_names_both_lines(self):
         findings = run_lint(
@@ -149,6 +209,31 @@ class TestRealTreeMutations:
         assert len(findings) == 1
         assert findings[0].pass_id == "kernel-abi"
         assert "field #0" in findings[0].message
+
+    def test_mutated_cyclesim_define_value(self, tmp_path):
+        root = _real_tree(tmp_path)
+        _edit(root, CYCLE_KERNEL, "#define OP_LOAD 1", "#define OP_LOAD 9")
+        findings = run_lint(root, select=self.SELECT)
+        assert len(findings) == 1
+        assert findings[0].pass_id == "kernel-constants"
+        assert "OP_LOAD" in findings[0].message
+        assert "_cyclesim_kernel.c:" in findings[0].message
+
+    def test_swapped_and_retyped_cyclesim_ctypes_fields(self, tmp_path):
+        root = _real_tree(tmp_path)
+        _edit(
+            root, CYCLE_CKERNEL,
+            '("rob", ctypes.c_int64),\n'
+            '        ("issue_window", ctypes.c_int64),',
+            '("issue_window", ctypes.c_int32),\n'
+            '        ("rob", ctypes.c_int64),',
+        )
+        findings = run_lint(root, select=self.SELECT)
+        assert len(findings) == 1
+        assert findings[0].pass_id == "kernel-abi"
+        assert findings[0].path == CYCLE_CKERNEL
+        assert "_CycleConfig field #0" in findings[0].message
+        assert "_cyclesim_kernel.c:" in findings[0].message
 
     def test_dropped_payload_column_without_bump(self, tmp_path):
         root = _real_tree(tmp_path)
