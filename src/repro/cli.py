@@ -482,6 +482,14 @@ def cmd_lint(args):
             f" (py + C unit, shared across passes)",
             file=sys.stderr,
         )
+        for name, c in stats.get("certify", {}).items():
+            print(
+                f"stats: certify {name}: {c['visits']} visits,"
+                f" {c['widenings']} widenings, {c['restarts']} restarts,"
+                f" {c['narrowings']} narrowings,"
+                f" {c['seconds']*1000:.1f} ms",
+                file=sys.stderr,
+            )
     errors = [f for f in findings if f.severity is Severity.ERROR]
     return 1 if errors else 0
 
@@ -647,8 +655,9 @@ def build_parser():
                    help="list the registered passes (id, default"
                    " severity, description) and exit")
     p.add_argument("--stats", action="store_true",
-                   help="print per-pass wall time and the shared-parse"
-                   " ledger to stderr after the findings")
+                   help="print per-pass wall time, the shared-parse"
+                   " ledger and the certifier's per-function fixpoint"
+                   " counters to stderr after the findings")
     p.add_argument("--manifest-update", action="store_true",
                    help="regenerate the pinned oracle SHA and payload"
                    " schema fingerprint in repro.lint.manifest (atomic;"

@@ -36,7 +36,9 @@ def certified_kernels(project):
     :class:`repro.lint.certify.interp.KernelReport`); memoised on the
     project so the two C passes share one fixpoint run.  The kernels
     are read through :meth:`~repro.lint.framework.Project.c_unit`, the
-    same parse the parity passes use.
+    same parse the parity passes use.  Each analysed function's
+    fixpoint counters land in ``project.telemetry["certify"]`` under
+    ``<kernel file>:<function>``.
     """
     cache = getattr(project, "_certify_reports", None)
     if cache is None:
@@ -54,4 +56,9 @@ def certified_kernels(project):
             if unit is not None:
                 cache[contract.path] = analyse_kernel(unit, contract)
         project._certify_reports = cache
+        project.telemetry["certify"] = {
+            f"{relpath.rsplit('/', 1)[-1]}:{fn}": counters
+            for relpath, report in cache.items()
+            for fn, counters in report.fixpoint.items()
+        }
     return cache

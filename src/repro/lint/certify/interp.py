@@ -4,14 +4,14 @@ One :func:`analyse_kernel` call proves (or reports) every memory-safety
 obligation in one kernel source:
 
 * each function body is lowered to a statement-level CFG and solved
-  with the same worklist discipline as
-  :func:`repro.lint.flow.dataflow.solve_forward` — a deque of dirty
-  nodes, joins at merge points — extended with *delayed widening* at
-  loop heads (an endpoint may move :data:`_WIDEN_DELAY` times before
-  it is widened to the type extreme, so ring-buffer bounds like
-  ``rob_head <= rob_alloc - 1`` stabilise instead of blowing up) and a
-  bounded narrowing sweep that re-tightens the endpoints widening
-  overshot;
+  with a worklist of dirty nodes and joins at merge points, as in
+  :func:`repro.lint.flow.dataflow.solve_forward` but popping the
+  lowest CFG id (program order) first — extended with *delayed
+  widening* at loop heads (an endpoint may move :data:`_WIDEN_DELAY`
+  times before it is widened to the type extreme, so ring-buffer
+  bounds like ``rob_head <= rob_alloc - 1`` stabilise instead of
+  blowing up) and a bounded narrowing sweep that re-tightens the
+  endpoints widening overshot;
 * a final *checking* pass replays every reachable statement against
   the fixpoint states and records an :class:`Obligation` for each
   subscript (``kernel-bounds``), each signed arithmetic result and
@@ -29,6 +29,8 @@ checked); everything else, including ``requires`` at call sites and
 ``returns`` at return statements, is proven.
 """
 
+import heapq
+import time
 from collections import deque
 
 from repro.lint.certify import intervals as iv
@@ -78,7 +80,7 @@ class KernelReport:
     """Everything the certify passes need about one kernel."""
 
     __slots__ = ("path", "obligations", "issues", "unit", "error",
-                 "checked", "proved")
+                 "checked", "proved", "fixpoint")
 
     def __init__(self, path):
         self.path = path
@@ -88,6 +90,7 @@ class KernelReport:
         self.error = None       # (lineno, message): fatal parse failure
         self.checked = 0
         self.proved = 0
+        self.fixpoint = {}      # function name -> cost counters
 
     def failed(self, kind):
         """The unproved obligations of one kind (``bounds``/``overflow``)."""
@@ -965,8 +968,9 @@ class _FnCore:
         coeffs, rest = form
         total = rest
         for key, coeff in coeffs.items():
-            term = iv.mul(self.get_iv(state, key),
-                          iv.const_interval(coeff), self.box)
+            term = self.get_iv(state, key)
+            if coeff != 1:
+                term = iv.mul(term, iv.const_interval(coeff), self.box)
             total = iv.add(total, term)
         return total
 
@@ -2059,7 +2063,12 @@ class _FnFlow:
         self._adoptions = []
         keep = {entry} | {i for i, node in enumerate(cfg.nodes)
                           if node.loop_head}
-        work = deque([entry])
+        self._widenings = 0
+        restarts = 0
+        # A min-heap on node id: ``_lower_function`` numbers nodes in
+        # program order, so a merge point is usually visited after all
+        # of its forward predecessors have settled.
+        work = [entry]
         queued = {entry}
         pops = 0
         while work:
@@ -2068,7 +2077,7 @@ class _FnFlow:
                 raise CertifyError(
                     f"fixpoint did not converge in {self.fn.name}",
                     self.fn.lineno)
-            nid = work.popleft()
+            nid = heapq.heappop(work)
             queued.discard(nid)
             state_in = states.get(nid)
             if state_in is None:
@@ -2094,7 +2103,7 @@ class _FnFlow:
                     states[succ] = joined
                 if succ not in queued:
                     queued.add(succ)
-                    work.append(succ)
+                    heapq.heappush(work, succ)
             if self._adoptions:
                 # A widening just jumped to a harvested threshold.  The
                 # accumulated states elsewhere still hold the numeric
@@ -2122,14 +2131,13 @@ class _FnFlow:
                                                 self.box)):
                             st.scalars[key] = iv.Interval(cur.lo, cand)
                 self._adoptions = []
+                restarts += 1
                 for i in list(states):
                     if i not in keep:
                         del states[i]
-                work.clear()
-                queued.clear()
-                for i in sorted(keep & set(states)):
-                    work.append(i)
-                    queued.add(i)
+                work = sorted(keep & set(states))
+                queued = set(work)
+        visits = pops
         # Narrowing: a decreasing worklist pass recomputing each IN
         # from the current predecessors and meeting it into the stored
         # state.  A per-node round budget bounds the descending chain
@@ -2144,6 +2152,7 @@ class _FnFlow:
         work = deque(order)
         queued = set(order)
         pops = 0
+        narrowings = 0
         while work and pops < _MAX_VISITS:
             pops += 1
             nid = work.popleft()
@@ -2168,6 +2177,7 @@ class _FnFlow:
             new = self._narrow_states(cur, incoming)
             if not self._states_eq(cur, new):
                 narrow_rounds[nid] = narrow_rounds.get(nid, 0) + 1
+                narrowings += 1
                 states[nid] = new
                 for succ, _cond, _sense, _back in cfg.nodes[nid].succs:
                     if succ in states and succ not in queued:
@@ -2180,18 +2190,20 @@ class _FnFlow:
             if state_in is not None:
                 self._flow(cfg, nid, state_in)
         self.checking = False
+        return {"visits": visits, "widenings": self._widenings,
+                "restarts": restarts, "narrowings": narrowings}
 
     # -- state lattice
 
     def _join_states(self, a, b):
         scalars = {}
-        for key in set(a.scalars) | set(b.scalars):
-            joined = iv.join(self.get_iv(a, key), self.get_iv(b, key),
-                             self.box)
+        for key in {**a.scalars, **b.scalars}:
             default = self.default_iv(key)
-            if default is not None and iv.equal(joined, default):
-                continue
-            scalars[key] = joined
+            x = a.scalars.get(key, default)
+            y = b.scalars.get(key, default)
+            joined = x if x is y else iv.join(x, y, self.box)
+            if not iv.equal(joined, default):
+                scalars[key] = joined
         ptrs = {}
         for name, ref in a.ptrs.items():
             other = b.ptrs.get(name)
@@ -2216,6 +2228,7 @@ class _FnFlow:
                 mark = (nid, key, "lo")
                 self._moves[mark] = self._moves.get(mark, 0) + 1
                 if self._moves[mark] > _WIDEN_DELAY:
+                    self._widenings += 1
                     zero = iv.Affine(0)
                     lo = (zero if iv.bound_le(zero, nv.lo, self.box)
                           else iv.NEG_INF)
@@ -2224,6 +2237,7 @@ class _FnFlow:
                 mark = (nid, key, "hi")
                 self._moves[mark] = self._moves.get(mark, 0) + 1
                 if self._moves[mark] > _WIDEN_DELAY:
+                    self._widenings += 1
                     # Widening with thresholds: jump to the next
                     # harvested comparison bound before giving up and
                     # going to +inf.  A speculative jump below the
@@ -2248,17 +2262,24 @@ class _FnFlow:
         return _State(scalars, dict(old.ptrs), True)
 
     def _states_eq(self, a, b):
-        if set(a.scalars) != set(b.scalars):
+        return (_maps_eq(a.scalars, b.scalars, iv.equal)
+                and _maps_eq(a.ptrs, b.ptrs, _ref_eq))
+
+
+def _maps_eq(a, b, same):
+    """Equal key sets and ``same`` values, identical values skipped."""
+    if len(a) != len(b):
+        return False
+    for key, x in a.items():
+        y = b.get(key)
+        if y is None or (x is not y and not same(x, y)):
             return False
-        if any(not iv.equal(a.scalars[k], b.scalars[k])
-               for k in a.scalars):
-            return False
-        if set(a.ptrs) != set(b.ptrs):
-            return False
-        return all(_ref_eq(a.ptrs[k], b.ptrs[k]) for k in a.ptrs)
+    return True
 
 
 def _ref_eq(a, b):
+    if a is b:
+        return True
     if type(a) is not type(b):
         return False
     if isinstance(a, _BufSpec):
@@ -2314,11 +2335,15 @@ def analyse_kernel(unit, contract):
     summaries = _summaries(env.unit)
     sink = {}
     for fn in env.unit.functions.values():
+        started = time.perf_counter()
         try:
             engine = _Fn(env, fn, summaries, sink)
-            engine.run()
+            counters = engine.run()
         except CertifyError as exc:
             report.issues.append((exc.lineno, str(exc)))
+        else:
+            counters["seconds"] = time.perf_counter() - started
+            report.fixpoint[fn.name] = counters
     report.issues.extend(env.ann_errors)
     for (kind, lineno, message), ok in sorted(
             sink.items(), key=lambda kv: (kv[0][1], kv[0][0],

@@ -24,6 +24,8 @@ results that leave their width are the ``kernel-overflow`` pass's
 findings and are reported by the interpreter, not here.
 """
 
+import functools
+
 
 class Inf:
     """A signed infinity endpoint (two singletons below)."""
@@ -42,7 +44,9 @@ NEG_INF = Inf(-1)
 
 
 class Affine:
-    """``const + sum(coeff * symbol)`` with integer coefficients."""
+    """``const + sum(coeff * symbol)`` with integer coefficients.
+    Immutable: operations share term maps and return an operand
+    unchanged when the result equals it."""
 
     __slots__ = ("terms", "const")
 
@@ -56,10 +60,16 @@ class Affine:
 
     def add(self, other):
         """Termwise sum with another affine form."""
+        if not other.terms:
+            return self.shift(other.const)
+        if not self.terms:
+            return other.shift(self.const)
         terms = dict(self.terms)
         for sym, coeff in other.terms.items():
             terms[sym] = terms.get(sym, 0) + coeff
-        return Affine(self.const + other.const, terms)
+            if not terms[sym]:
+                del terms[sym]
+        return _affine(self.const + other.const, terms)
 
     def sub(self, other):
         """Termwise difference ``self - other``."""
@@ -67,32 +77,22 @@ class Affine:
 
     def scale(self, k):
         """Multiply every coefficient and the constant by *k*."""
-        return Affine(self.const * k,
-                      {s: c * k for s, c in self.terms.items()})
+        if k == 1:
+            return self
+        if k == 0:
+            return _ZERO
+        return _affine(self.const * k,
+                       {s: c * k for s, c in self.terms.items()})
 
     def shift(self, k):
         """Add the integer constant *k*."""
-        return Affine(self.const + k, dict(self.terms))
-
-    def eval_min(self, box):
-        """Smallest value over the box of per-symbol ranges."""
-        total = self.const
-        for sym, coeff in self.terms.items():
-            lo, hi = box[sym]
-            total += coeff * (lo if coeff > 0 else hi)
-        return total
-
-    def eval_max(self, box):
-        """Largest value over the box of per-symbol ranges."""
-        total = self.const
-        for sym, coeff in self.terms.items():
-            lo, hi = box[sym]
-            total += coeff * (hi if coeff > 0 else lo)
-        return total
+        if k == 0:
+            return self
+        return _affine(self.const + k, self.terms)
 
     def same_as(self, other):
         """Exact structural equality with another affine form."""
-        return (isinstance(other, Affine)
+        return self is other or (isinstance(other, Affine)
                 and self.const == other.const
                 and self.terms == other.terms)
 
@@ -112,18 +112,52 @@ class Affine:
         return text
 
 
+def _affine(const, terms):
+    """An :class:`Affine` over *terms* as given: the caller guarantees
+    the map holds no zero coefficient and is never mutated."""
+    form = Affine.__new__(Affine)
+    form.const = const
+    form.terms = terms
+    return form
+
+
+_ZERO = _affine(0, {})
+
+
 def const_bound(value):
     """The constant *value* as an affine endpoint."""
     return Affine(value)
 
 
+def _diff_min(a, b, box):
+    """Box minimum of the affine difference ``b - a``, read straight
+    off the two term maps (no intermediate form is built)."""
+    total = b.const - a.const
+    at = a.terms
+    bt = b.terms
+    if at == bt:
+        return total
+    for sym, coeff in bt.items():
+        coeff -= at.get(sym, 0)
+        if coeff:
+            lo, hi = box[sym]
+            total += coeff * (lo if coeff > 0 else hi)
+    for sym, coeff in at.items():
+        if sym not in bt:
+            lo, hi = box[sym]
+            total -= coeff * (hi if coeff > 0 else lo)
+    return total
+
+
 def bound_le(a, b, box):
     """Is ``a <= b`` for every symbol assignment in the box?"""
+    if a is b:
+        return True
     if isinstance(a, Inf):
         return a.sign < 0 or (isinstance(b, Inf) and b.sign > 0)
     if isinstance(b, Inf):
         return b.sign > 0
-    return b.sub(a).eval_min(box) >= 0
+    return _diff_min(a, b, box) >= 0
 
 
 def bound_add(a, b):
@@ -155,14 +189,14 @@ def bound_num_min(a, box):
     """Numeric floor of a bound over the box (None for ``-inf``)."""
     if isinstance(a, Inf):
         return None
-    return a.eval_min(box)
+    return _diff_min(_ZERO, a, box)
 
 
 def bound_num_max(a, box):
     """Numeric ceiling of a bound over the box (None for ``+inf``)."""
     if isinstance(a, Inf):
         return None
-    return a.eval_max(box)
+    return -_diff_min(a, _ZERO, box)
 
 
 class Interval:
@@ -206,8 +240,10 @@ def symbol_interval(sym):
     return Interval(bound, bound)
 
 
+@functools.cache
 def width_interval(bits, signed):
-    """The representable range of a *bits*-wide C integer type."""
+    """The representable range of a *bits*-wide C integer type (one
+    shared instance per type, so identity checks hit on defaults)."""
     if signed:
         return Interval(Affine(-(1 << (bits - 1))),
                         Affine((1 << (bits - 1)) - 1))
@@ -238,12 +274,20 @@ def _pick_hi(a, b, box):
 
 
 def join(a, b, box):
-    """Least interval covering both *a* and *b* (lattice join)."""
+    """Least interval covering both *a* and *b* (lattice join).  When
+    the join keeps both endpoints of one operand, that operand is
+    returned itself."""
+    if a is b or b.is_bottom:
+        return a
     if a.is_bottom:
         return b
-    if b.is_bottom:
+    lo = _pick_lo(a.lo, b.lo, box)
+    hi = _pick_hi(a.hi, b.hi, box)
+    if lo is a.lo and hi is a.hi:
         return a
-    return Interval(_pick_lo(a.lo, b.lo, box), _pick_hi(a.hi, b.hi, box))
+    if lo is b.lo and hi is b.hi:
+        return b
+    return Interval(lo, hi)
 
 
 def widen(old, new, box):
@@ -255,20 +299,10 @@ def widen(old, new, box):
         return old
     lo = old.lo
     if not bound_le(old.lo, new.lo, box):
-        zero = Affine(0)
-        lo = zero if bound_le(zero, new.lo, box) else NEG_INF
+        lo = _ZERO if bound_le(_ZERO, new.lo, box) else NEG_INF
     hi = old.hi
     if not bound_le(new.hi, old.hi, box):
         hi = POS_INF
-    return Interval(lo, hi)
-
-
-def narrow(old, new, box):
-    """Take the refined endpoint where the widened one was infinite."""
-    if old.is_bottom or new.is_bottom:
-        return new
-    lo = new.lo if isinstance(old.lo, Inf) else old.lo
-    hi = new.hi if isinstance(old.hi, Inf) else old.hi
     return Interval(lo, hi)
 
 
@@ -303,20 +337,24 @@ def meet(a, b, box):
     else:
         hi = _prefer_symbolic(a.hi, b.hi)
     if (not isinstance(lo, Inf) and not isinstance(hi, Inf)
-            and hi.sub(lo).eval_max(box) < 0):
+            and _diff_min(hi, lo, box) > 0):
         return BOTTOM
     return Interval(lo, hi)
 
 
 def equal(a, b):
     """Structural equality of endpoints (fixpoint-detection test)."""
-    def same(x, y):
-        if isinstance(x, Inf) or isinstance(y, Inf):
-            return x is y
-        return x.same_as(y)
-    if a.is_bottom or b.is_bottom:
-        return a is b
-    return same(a.lo, b.lo) and same(a.hi, b.hi)
+    if a is b:
+        return True
+    if a is BOTTOM or b is BOTTOM:
+        return False
+    return _same_bound(a.lo, b.lo) and _same_bound(a.hi, b.hi)
+
+
+def _same_bound(x, y):
+    if isinstance(x, Inf) or isinstance(y, Inf):
+        return x is y
+    return x.same_as(y)
 
 
 # ------------------------------------------------- interval arithmetic

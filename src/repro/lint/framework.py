@@ -109,6 +109,9 @@ class Project:
         #: what makes the shared caches below load-bearing rather than
         #: decorative.
         self.parse_counts = {}
+        #: Run counters contributed by the analyses behind the passes,
+        #: copied into :func:`run_lint`'s *stats* under the same keys.
+        self.telemetry = {}
         self._c_units = {}
         relpaths = set()
         for source_root in SOURCE_ROOTS:
@@ -251,8 +254,11 @@ def run_lint(root, select=None, stats=None):
         Optional dict, filled in place with run telemetry: ``passes``
         (list of ``{"id", "seconds", "findings"}`` in execution
         order), ``parse_counts`` (the project's ``(relpath, kind)``
-        ledger) and ``files_parsed``.  Drives ``repro lint --stats``
-        and the exactly-once-parse assertion in the test suite.
+        ledger), ``files_parsed`` and, when a certify pass ran,
+        ``certify`` (fixpoint counters per ``<kernel>:<function>``,
+        see :func:`repro.lint.certify.certified_kernels`).  Drives
+        ``repro lint --stats`` and the exactly-once-parse assertion in
+        the test suite.
 
     Returns
     -------
@@ -317,4 +323,5 @@ def run_lint(root, select=None, stats=None):
         stats["files_parsed"] = len(
             {relpath for relpath, _ in project.parse_counts}
         )
+        stats.update(project.telemetry)
     return sorted(findings)

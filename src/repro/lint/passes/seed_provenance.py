@@ -57,6 +57,9 @@ TAINT_SOURCES = {
 #: Last path components that construct/reseed an RNG from their args.
 _SINK_TAILS = frozenset({"default_rng", "RandomState", "SeedSequence"})
 
+#: Identifiers the last component of every sink name contains.
+_SINK_WORDS = ("default_rng", "Random", "SeedSequence", "seed")
+
 
 def _source_labels(dotted_name):
     label = TAINT_SOURCES.get(dotted_name)
@@ -73,6 +76,17 @@ def _is_seed_sink(dotted_name):
     return len(parts) == 2 and parts[-1] == "seed"
 
 
+def _has_seed_sink(module):
+    """Does the module contain a seeding call?  A sink's name spells
+    one of :data:`_SINK_WORDS` in the source, so the text test is a
+    sound filter ahead of the tree walk."""
+    if not any(word in module.source for word in _SINK_WORDS):
+        return False
+    return any(_is_seed_sink(call_name(node) or "")
+               for node in ast.walk(module.tree)
+               if isinstance(node, ast.Call))
+
+
 @register
 class SeedProvenancePass(LintPass):
     id = "seed-provenance"
@@ -82,6 +96,10 @@ class SeedProvenancePass(LintPass):
     )
 
     def check_module(self, module, project):
+        # Findings sit only at seeding calls and the summaries are
+        # module-local, so a module without one needs no solve.
+        if not _has_seed_sink(module):
+            return
         summaries = ModuleSummaries(module.tree)
         analysis = TaintAnalysis(_source_labels, summaries)
         # Module-level assignments seed the environment of every

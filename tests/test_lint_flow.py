@@ -347,6 +347,26 @@ class TestFlowPassBehaviors:
         assert len(findings) == 1
         assert "wall-clock" in findings[0].message
 
+    @pytest.mark.parametrize("call", [
+        "np.random.default_rng(STAMP)",
+        "numpy.random.RandomState(STAMP)",
+        "np.random.SeedSequence(STAMP)",
+        "random.seed(STAMP)",
+        "random.Random(STAMP)",
+        "rng.seed(STAMP)",
+    ])
+    def test_every_sink_spelling_survives_the_prefilter(self, tmp_path,
+                                                        call):
+        """Modules without a seeding call skip the taint solve; the
+        text and tree pre-scan must still admit every sink form."""
+        target = tmp_path / "src" / "repro" / "stamped.py"
+        target.parent.mkdir(parents=True)
+        target.write_text(  # reprolint: disable=atomic-writes
+            f"import time\nSTAMP = time.time()\nx = {call}\n")
+        findings = run_lint(tmp_path, select=["seed-provenance"])
+        assert len(findings) == 1, call
+        assert findings[0].line == 3
+
 
 class TestSweepRaceRegression:
     def test_global_mutating_worker_is_caught(self, tmp_path):
