@@ -439,20 +439,20 @@ def test_cyclesim_grid_supervised_speedup(results_dir, tmp_path):
     (kind "cyclesim_grid") prices the whole production path, not a
     bare kernel loop.
     """
-    from repro.analysis.sweep import sweep_cyclesim
     from repro.cyclesim.ckernel import kernel_available
     from repro.cyclesim.simulator_reference import (
         run_cyclesim as run_reference,
     )
+    from repro.robustness.supervisor import supervised_sweep
 
     name, annotated = _fixed_workloads()[0]
     pairs = _cyclesim_pairs()
     journal = tmp_path / "cyclesim_grid.journal"
 
     def supervised_grid():
-        return sweep_cyclesim(
+        return supervised_sweep(
             annotated, pairs, workload=name,
-            supervise={"journal_path": journal, "resume": False},
+            journal_path=journal, resume=False,
         )
 
     swept = supervised_grid()  # warm plan + kernel, sanity-check grid

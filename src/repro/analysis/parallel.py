@@ -1,22 +1,19 @@
-"""Process-parallel execution backend for configuration sweeps.
+"""Zero-copy chunk pools for kernel sweeps, plus the jobs knobs.
 
-A sweep runs many independent ``(label, machine)`` simulations over one
-shared annotated trace, which makes it embarrassingly parallel.  This
-module farms those simulations out to a :class:`ProcessPoolExecutor`:
+A grid inside a compiled kernel's envelope shares one plan per
+event-mask group (MLPsim) or one plan outright (cyclesim).  This module
+publishes those plans once through :mod:`repro.analysis.shm`, shards
+the grid into chunks sized by a measured per-config cost, and runs the
+chunks on a :class:`ProcessPoolExecutor` whose workers attach the plan
+without copying it.  Per-config work outside the envelope (runahead
+machines, hosts without a C compiler) runs on the supervisor's pool
+instead — see :func:`repro.analysis.sweep.sweep`.
 
-* On platforms with ``fork`` (Linux, macOS with the fork context) the
-  annotated trace is published in a module-level global before the pool
-  starts, so workers inherit it copy-on-write and nothing is pickled
-  per task except the small machine config and result.
-* On platforms without ``fork`` the trace is spilled once to a
-  temporary ``.npz`` archive (via the atomic trace writer) and each
-  worker loads it in its initializer.
-
-Results are collected in submission order, so ``SweepResult`` label
-order and progress-callback order match the serial backend exactly.
-A worker exception is re-raised in the parent as
-:class:`~repro.robustness.errors.SimulationError` naming the failing
-configuration label; remaining queued tasks are cancelled.
+Results come back in grid order, so ``SweepResult`` label order and
+progress-callback order match the serial backend exactly.  A worker
+exception is re-raised in the parent as
+:class:`~repro.robustness.errors.SimulationError` naming the first
+label of the failing chunk; remaining queued chunks are cancelled.
 
 The worker count is resolved by :func:`resolve_jobs` from an explicit
 argument or the ``REPRO_JOBS`` environment variable; ``0`` means "one
@@ -29,27 +26,14 @@ import concurrent.futures
 import math
 import multiprocessing
 import os
-import tempfile
 import time
 
 from repro.robustness.errors import ConfigError, SimulationError
 
-#: Minimum estimated *remaining* sweep seconds before a process pool is
-#: worth spinning up; below it the auto cutover runs serially.  Pool
-#: creation plus per-task IPC costs a few hundred milliseconds, so a
-#: sweep that measures cheaper than this can only lose by going wide.
-SERIAL_CUTOVER_SECONDS = 1.0
-
 #: Target wall-clock per sharded chunk of a batched parallel sweep.
 #: Chunks much smaller than this drown in IPC; much bigger ones starve
-#: the tail workers and coarsen journal flushes.
+#: the tail workers.
 CHUNK_TARGET_SECONDS = 0.25
-
-#: Annotated trace shared with workers.  Under the fork start method the
-#: parent sets it right before creating the pool and clears it after the
-#: sweep; forked children inherit the populated value copy-on-write.
-#: Under spawn it is populated per worker by :func:`_init_from_spill`.
-_WORKER_ANNOTATED = None
 
 
 def resolve_jobs(jobs=None):
@@ -84,97 +68,6 @@ def resolve_jobs(jobs=None):
     return jobs
 
 
-def _init_from_spill(path):
-    """Worker initializer for spawn-style pools: load the spilled trace."""
-    global _WORKER_ANNOTATED
-    from repro.trace.io import load_annotated
-
-    _WORKER_ANNOTATED = load_annotated(path)
-
-
-def _run_one(label, machine, workload):
-    """Simulate one configuration against the shared annotated trace."""
-    from repro.core.mlpsim import simulate
-
-    if _WORKER_ANNOTATED is None:
-        raise SimulationError(
-            f"sweep worker has no annotated trace for config {label!r}",
-            field=label,
-        )
-    return simulate(_WORKER_ANNOTATED, machine, workload=workload)
-
-
-def share_annotated(annotated):
-    """Publish *annotated* for worker processes; returns ``(ctx, spill)``.
-
-    Preferred path: the ``fork`` start method, with the trace parked in
-    the module global so children inherit it copy-on-write (``spill``
-    is ``None``).  Platforms without fork get the ``spawn`` context and
-    a temporary ``.npz`` spill each worker must load.  ``(None, None)``
-    means no multiprocessing context is usable at all and the caller
-    should run serially.  Balance every successful call with
-    :func:`unshare_annotated`.
-    """
-    global _WORKER_ANNOTATED
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        ctx = None
-    if ctx is not None:
-        _WORKER_ANNOTATED = annotated
-        return ctx, None
-    spill_path = None
-    try:
-        from repro.trace.io import save_annotated
-
-        fd, spill_path = tempfile.mkstemp(
-            prefix="repro-sweep-", suffix=".npz"
-        )
-        os.close(fd)
-        save_annotated(annotated, spill_path)
-        return multiprocessing.get_context("spawn"), spill_path
-    except (OSError, ValueError):
-        if spill_path is not None:
-            try:
-                os.unlink(spill_path)
-            except OSError:
-                pass
-        return None, None
-
-
-def unshare_annotated(spill_path):
-    """Drop the shared trace and delete the spill archive, if any."""
-    global _WORKER_ANNOTATED
-    _WORKER_ANNOTATED = None
-    if spill_path is not None:
-        try:
-            os.unlink(spill_path)
-        except OSError:
-            pass
-
-
-def _make_pool(annotated, jobs):
-    """Create a process pool primed with *annotated*.
-
-    Returns ``(executor, spill_path)``; *spill_path* is the temporary
-    archive to delete after the sweep (``None`` under fork).  Returns
-    ``(None, None)`` when no pool can be created, signalling the caller
-    to fall back to the serial backend.
-    """
-    ctx, spill_path = share_annotated(annotated)
-    if ctx is None:
-        return None, None
-    kwargs = {"max_workers": jobs, "mp_context": ctx}
-    if spill_path is not None:
-        kwargs["initializer"] = _init_from_spill
-        kwargs["initargs"] = (spill_path,)
-    try:
-        return concurrent.futures.ProcessPoolExecutor(**kwargs), spill_path
-    except (OSError, ValueError):
-        unshare_annotated(spill_path)
-        return None, None
-
-
 def effective_cpus():
     """CPUs the scheduler will actually give us (affinity-aware)."""
     try:
@@ -183,56 +76,23 @@ def effective_cpus():
         return os.cpu_count() or 1
 
 
-def serial_cutover(n_jobs, n_pairs, per_config_seconds=None):
+def serial_cutover(n_jobs, n_pairs):
     """Should a ``jobs=N`` sweep fall back to the serial backend?
 
     The cutover triggers when parallelism cannot pay for its own
     overhead: a single effective CPU (process pools only add IPC to
-    CPU-bound simulation), a grid smaller than two configs, or —
-    when a measured *per_config_seconds* is available — an estimated
-    remaining runtime under :data:`SERIAL_CUTOVER_SECONDS`.  This is
+    CPU-bound simulation) or a grid smaller than two configs.  This is
     what keeps ``jobs=4`` from ever being slower than ``jobs=1`` on
-    small grids and keeps single-core scaling at ~1.0.
+    one core and keeps single-core scaling at ~1.0.
     """
-    if n_jobs <= 1 or n_pairs <= 1:
-        return True
-    if effective_cpus() <= 1:
-        return True
-    if per_config_seconds is not None:
-        return per_config_seconds * n_pairs < SERIAL_CUTOVER_SECONDS
-    return False
-
-
-def serial_sweep_results(annotated, pairs, workload, progress):
-    """The serial-cutover backend: in-process, but with the parallel
-    backend's error contract (label-carrying :class:`SimulationError`
-    with attempt count and elapsed time), so ``jobs=N`` keeps one
-    failure surface whichever backend the cutover picks.
-    """
-    from repro.core.mlpsim import simulate
-
-    started = time.monotonic()
-    results = {}
-    for label, machine in pairs:
-        try:
-            results[label] = simulate(annotated, machine, workload=workload)
-        except Exception as exc:
-            elapsed = time.monotonic() - started
-            raise SimulationError(
-                f"sweep config {label!r} failed"
-                f" (attempt 1, after {elapsed:.1f}s): {exc}",
-                field=label,
-            ) from exc
-        if progress is not None:
-            progress(label)
-    return results
+    return n_jobs <= 1 or n_pairs <= 1 or effective_cpus() <= 1
 
 
 def measure_config_cost(run_one):
     """Time one configuration; returns ``(result, seconds)``.
 
     The measurement doubles as real work — the caller merges the
-    result instead of re-running the config — so the cutover estimate
+    result instead of re-running the config — so the sharding estimate
     is free.
     """
     started = time.perf_counter()
@@ -276,135 +136,6 @@ def _run_plan_chunk(handle, chunk, workload):
         attached.close()
 
 
-def batched_parallel_sweep(annotated, pairs, workload, progress, jobs,
-                           journal=None, seed=None, trace_len=None):
-    """Zero-copy parallel sweep of a batched grid.
-
-    The parent builds one columnar plan per event-mask group of the
-    configs inside the kernel's envelope, publishes each through
-    :mod:`repro.analysis.shm`, measures the per-config kernel cost on
-    the first of them, shards the rest into chunks of roughly
-    :data:`CHUNK_TARGET_SECONDS`, and fans the chunks out to a worker
-    pool.  Configs outside the envelope (runahead machines) need the
-    annotated trace, so the parent runs them on the scalar engine while
-    the pool works.  Results are flushed through *journal* (a
-    :class:`~repro.robustness.journal.SweepJournal`) as they arrive, so
-    a crash loses at most one chunk of work.
-
-    Returns ``{label: MLPResult}`` in grid order, or ``None`` when no
-    pool can be created (callers fall back to the serial batched path).
-    Progress callbacks fire in grid order once all results are in —
-    the same order the serial backend reports.  Shared segments are
-    unlinked in ``finally``, whether the sweep succeeded, raised, or
-    lost workers.
-    """
-    from repro.analysis.shm import publish_plan, unpublish_plan
-    from repro.core.batched import batched_supported, simulate_batched
-    from repro.core.columnar import mask_key, plan_for
-
-    groups = {}
-    scalar_pairs = []
-    for label, machine in pairs:
-        if batched_supported(machine):
-            groups.setdefault(mask_key(machine), []).append((label, machine))
-        else:
-            scalar_pairs.append((label, machine))
-
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        ctx = multiprocessing.get_context("spawn")
-
-    results = {}
-    started = time.monotonic()
-    remaining, cost = {}, 0.0
-    if groups:
-        # Measure the per-config cost on the first config of the first
-        # group; the result is kept, so calibration is free work.
-        first_label, first_machine = next(iter(groups.values()))[0]
-        first_result, cost = measure_config_cost(
-            lambda: simulate_batched(
-                annotated, first_machine, workload=workload,
-                _validate=False,
-            )
-        )
-        results[first_label] = first_result
-        remaining = {
-            key: [p for p in group if p[0] != first_label]
-            for key, group in groups.items()
-        }
-
-    handles = {}
-    executor = None
-    try:
-        for key, group in remaining.items():
-            if group:
-                handles[key] = publish_plan(
-                    plan_for(annotated, group[0][1])
-                )
-        tasks = []
-        for key, group in remaining.items():
-            for chunk in shard_pairs(group, cost, jobs):
-                tasks.append((handles[key], chunk))
-        futures = []
-        if tasks:
-            try:
-                executor = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=min(jobs, len(tasks)), mp_context=ctx
-                )
-            except (OSError, ValueError):
-                return None
-            futures = [
-                (chunk, executor.submit(
-                    _run_plan_chunk, handle, chunk, workload
-                ))
-                for handle, chunk in tasks
-            ]
-        if scalar_pairs:
-            scalar_results = {
-                label: simulate_batched(
-                    annotated, machine, workload=workload, _validate=False
-                )
-                for label, machine in scalar_pairs
-            }
-            results.update(scalar_results)
-            if journal is not None:
-                _flush_chunk(
-                    journal, scalar_pairs, scalar_results, workload,
-                    seed, trace_len, time.monotonic() - started,
-                )
-        for chunk, future in futures:
-            labels = ", ".join(label for label, _ in chunk)
-            try:
-                chunk_results = future.result()
-            except Exception as exc:
-                elapsed = time.monotonic() - started
-                if executor is not None:
-                    executor.shutdown(wait=False, cancel_futures=True)
-                raise SimulationError(
-                    f"sweep worker failed for configs [{labels}]"
-                    f" (attempt 1, after {elapsed:.1f}s): {exc}",
-                    field=chunk[0][0],
-                ) from exc
-            results.update(chunk_results)
-            if journal is not None:
-                _flush_chunk(
-                    journal, chunk, chunk_results, workload,
-                    seed, trace_len, time.monotonic() - started,
-                )
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
-        for handle in handles.values():
-            unpublish_plan(handle)
-
-    ordered = {label: results[label] for label, _ in pairs}
-    if progress is not None:
-        for label in ordered:
-            progress(label)
-    return ordered
-
-
 def _run_cycle_chunk(handle, chunk, workload):
     """Worker: attach the shared cycle plan and run one config chunk.
 
@@ -426,8 +157,137 @@ def _run_cycle_chunk(handle, chunk, workload):
         attached.close()
 
 
-def cyclesim_parallel_sweep(annotated, pairs, workload, progress, jobs,
-                            journal=None, seed=None, trace_len=None):
+def _run_chunks(run_chunk, tasks, workload, jobs, in_parent=dict):
+    """Run ``(handle, chunk)`` *tasks* on a fresh process pool.
+
+    Every task calls ``run_chunk(handle, chunk, workload)`` in a
+    worker.  *in_parent* runs in the parent while the pool works; its
+    ``{label: result}`` dict is merged with the chunks' results, which
+    are returned.  ``None`` means no pool could be created.  A failing
+    chunk raises :class:`SimulationError` naming its first label, and
+    the pool is shut down (queued chunks cancelled) on every exit path.
+    """
+    executor = None
+    if tasks:
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:
+            ctx = multiprocessing.get_context("spawn")
+        try:
+            executor = concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(jobs, len(tasks)), mp_context=ctx
+            )
+        except (OSError, ValueError):
+            return None
+    started = time.monotonic()
+    try:
+        futures = [
+            (chunk, executor.submit(run_chunk, handle, chunk, workload))
+            for handle, chunk in tasks
+        ]
+        results = in_parent()
+        for chunk, future in futures:
+            try:
+                results.update(future.result())
+            except Exception as exc:
+                labels = ", ".join(label for label, _ in chunk)
+                elapsed = time.monotonic() - started
+                raise SimulationError(
+                    f"sweep worker failed for configs [{labels}]"
+                    f" (attempt 1, after {elapsed:.1f}s): {exc}",
+                    field=chunk[0][0],
+                ) from exc
+        return results
+    finally:
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
+
+
+def _in_grid_order(results, pairs, progress):
+    """*results* reordered to the grid, firing *progress* per label."""
+    ordered = {label: results[label] for label, _ in pairs}
+    if progress is not None:
+        for label in ordered:
+            progress(label)
+    return ordered
+
+
+def batched_parallel_sweep(annotated, pairs, workload, progress, jobs):
+    """Zero-copy parallel sweep of a batched grid.
+
+    The parent builds one columnar plan per event-mask group of the
+    configs inside the kernel's envelope, publishes each through
+    :mod:`repro.analysis.shm`, measures the per-config kernel cost on
+    the first of them, shards the rest into chunks of roughly
+    :data:`CHUNK_TARGET_SECONDS`, and fans the chunks out to a worker
+    pool.  Configs outside the envelope (runahead machines) need the
+    annotated trace, so the parent runs them on the scalar engine while
+    the pool works.
+
+    Returns ``{label: MLPResult}`` in grid order, or ``None`` when no
+    pool can be created (callers fall back to the serial batched path).
+    Progress callbacks fire in grid order once all results are in —
+    the same order the serial backend reports.  Shared segments are
+    unlinked in ``finally``, whether the sweep succeeded, raised, or
+    lost workers.
+    """
+    from repro.analysis.shm import publish_plan, unpublish_plan
+    from repro.core.batched import batched_supported, simulate_batched
+    from repro.core.columnar import mask_key, plan_for
+
+    groups = {}
+    scalar_pairs = []
+    for label, machine in pairs:
+        if batched_supported(machine):
+            groups.setdefault(mask_key(machine), []).append((label, machine))
+        else:
+            scalar_pairs.append((label, machine))
+
+    results = {}
+    cost = 0.0
+    if groups:
+        # Measure the per-config cost on the first config of the first
+        # group; the result is kept, so calibration is free work.
+        first_label, first_machine = next(iter(groups.values())).pop(0)
+        results[first_label], cost = measure_config_cost(
+            lambda: simulate_batched(
+                annotated, first_machine, workload=workload,
+                _validate=False,
+            )
+        )
+
+    def run_scalar():
+        return {
+            label: simulate_batched(
+                annotated, machine, workload=workload, _validate=False
+            )
+            for label, machine in scalar_pairs
+        }
+
+    handles = []
+    try:
+        tasks = []
+        for group in groups.values():
+            if group:
+                handle = publish_plan(plan_for(annotated, group[0][1]))
+                handles.append(handle)
+                tasks.extend(
+                    (handle, chunk)
+                    for chunk in shard_pairs(group, cost, jobs)
+                )
+        pooled = _run_chunks(
+            _run_plan_chunk, tasks, workload, jobs, run_scalar
+        )
+        if pooled is None:
+            return None
+    finally:
+        for handle in handles:
+            unpublish_plan(handle)
+    results.update(pooled)
+    return _in_grid_order(results, pairs, progress)
+
+
+def cyclesim_parallel_sweep(annotated, pairs, workload, progress, jobs):
     """Zero-copy parallel sweep of cyclesim ``(label, config)`` *pairs*.
 
     The cyclesim twin of :func:`batched_parallel_sweep`, one notch
@@ -435,8 +295,7 @@ def cyclesim_parallel_sweep(annotated, pairs, workload, progress, jobs,
     event-mask groups — ``perfect_l2`` is an access-time knob), so one
     published plan serves the entire grid.  The parent measures the
     per-config cost on the first config, shards the rest into chunks of
-    roughly :data:`CHUNK_TARGET_SECONDS`, fans them out, and flushes
-    results through *journal* as chunks land.
+    roughly :data:`CHUNK_TARGET_SECONDS` and fans them out.
 
     Returns ``{label: CycleMetrics}`` in grid order, or ``None`` when
     no pool can be created (callers fall back to the serial path).
@@ -446,13 +305,6 @@ def cyclesim_parallel_sweep(annotated, pairs, workload, progress, jobs,
     from repro.cyclesim.plan import cycle_plan_for
     from repro.cyclesim.simulator import run_cyclesim
 
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        ctx = multiprocessing.get_context("spawn")
-
-    results = {}
-    started = time.monotonic()
     # Calibration doubles as real work: the first config's result is
     # kept, and running it in the parent also builds (and memoises)
     # the plan every chunk will share.
@@ -460,116 +312,19 @@ def cyclesim_parallel_sweep(annotated, pairs, workload, progress, jobs,
     first_result, cost = measure_config_cost(
         lambda: run_cyclesim(annotated, first_config, workload=workload)
     )
-    results[first_label] = first_result
-    remaining = [p for p in pairs if p[0] != first_label]
 
     handle = None
-    executor = None
     try:
-        chunks = shard_pairs(remaining, cost, jobs)
+        chunks = shard_pairs(pairs[1:], cost, jobs)
         if chunks:
             handle = publish_plan(cycle_plan_for(annotated))
-            try:
-                executor = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=min(jobs, len(chunks)), mp_context=ctx
-                )
-            except (OSError, ValueError):
-                return None
-            futures = [
-                (chunk, executor.submit(
-                    _run_cycle_chunk, handle, chunk, workload
-                ))
-                for chunk in chunks
-            ]
-            for chunk, future in futures:
-                labels = ", ".join(label for label, _ in chunk)
-                try:
-                    chunk_results = future.result()
-                except Exception as exc:
-                    elapsed = time.monotonic() - started
-                    executor.shutdown(wait=False, cancel_futures=True)
-                    raise SimulationError(
-                        f"sweep worker failed for configs [{labels}]"
-                        f" (attempt 1, after {elapsed:.1f}s): {exc}",
-                        field=chunk[0][0],
-                    ) from exc
-                results.update(chunk_results)
-                if journal is not None:
-                    _flush_chunk(
-                        journal, chunk, chunk_results, workload,
-                        seed, trace_len, time.monotonic() - started,
-                    )
+        results = _run_chunks(
+            _run_cycle_chunk, [(handle, chunk) for chunk in chunks],
+            workload, jobs,
+        )
+        if results is None:
+            return None
     finally:
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
         unpublish_plan(handle)
-
-    ordered = {label: results[label] for label, _ in pairs}
-    if progress is not None:
-        for label in ordered:
-            progress(label)
-    return ordered
-
-
-def _flush_chunk(journal, chunk, chunk_results, workload, seed, trace_len,
-                 elapsed):
-    """Append one chunk's results to the sweep journal, fail-soft."""
-    from repro.robustness.journal import config_key
-
-    per_config = elapsed / max(len(chunk), 1)
-    for label, machine in chunk:
-        try:
-            key = config_key(workload, seed, trace_len, machine)
-            journal.record_attempt(key, label, 1)
-            journal.record_result(
-                key, label, 1, per_config, chunk_results[label]
-            )
-        except Exception:
-            pass  # journalling is an aid; never fail the sweep over it
-
-
-def parallel_sweep_results(annotated, pairs, workload, progress, jobs):
-    """Run ``(label, machine)`` *pairs* on a pool of *jobs* workers.
-
-    Returns ``{label: MLPResult}`` in submission order, or ``None`` if
-    a worker pool could not be created (the caller then runs serially).
-    A failing worker raises :class:`SimulationError` naming the label
-    of the configuration that failed, the attempt count (always 1 on
-    this unsupervised backend — ``repro.robustness.supervisor`` is the
-    retrying layer) and the elapsed wall-clock time, so a failure in a
-    long campaign is diagnosable from the one-line message.
-    """
-    executor, spill_path = _make_pool(annotated, jobs)
-    if executor is None:
-        return None
-    started = time.monotonic()
-    try:
-        with executor:
-            futures = [
-                (label, executor.submit(_run_one, label, machine, workload))
-                for label, machine in pairs
-            ]
-            results = {}
-            for label, future in futures:
-                try:
-                    results[label] = future.result()
-                except concurrent.futures.process.BrokenProcessPool as exc:
-                    elapsed = time.monotonic() - started
-                    raise SimulationError(
-                        f"sweep worker died running config {label!r}"
-                        f" (attempt 1, after {elapsed:.1f}s): {exc}",
-                        field=label,
-                    ) from exc
-                except Exception as exc:
-                    executor.shutdown(wait=False, cancel_futures=True)
-                    elapsed = time.monotonic() - started
-                    raise SimulationError(
-                        f"sweep worker failed for config {label!r}"
-                        f" (attempt 1, after {elapsed:.1f}s): {exc}",
-                        field=label,
-                    ) from exc
-                if progress is not None:
-                    progress(label)
-            return results
-    finally:
-        unshare_annotated(spill_path)
+    results[first_label] = first_result
+    return _in_grid_order(results, pairs, progress)

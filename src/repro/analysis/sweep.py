@@ -7,16 +7,20 @@ experiment modules index and render.
 
 Sweeps are embarrassingly parallel: every ``(label, machine)`` pair is
 an independent simulation of the same trace.  Passing ``jobs=N`` (or
-setting ``REPRO_JOBS``) runs them on a process pool via
-:mod:`repro.analysis.parallel`; results are identical to the serial
-backend, label for label.  See ``docs/PERFORMANCE.md``.
+setting ``REPRO_JOBS``) runs them on one of two pools, with results
+identical to the serial backend, label for label: configs inside the
+compiled kernel's envelope go to the zero-copy chunk pool of
+:mod:`repro.analysis.parallel`, every other grid to the supervisor's
+one-config-per-task pool (:mod:`repro.robustness.supervisor`).  See
+``docs/PERFORMANCE.md``.
 
-Long or failure-prone campaigns should run under supervision
-(``supervise=...``): the sweep is then journalled, resumable after a
-crash, retried per-config with backoff, and fail-soft — see
-:mod:`repro.robustness.supervisor` and ``docs/ROBUSTNESS.md``.
+Long or failure-prone campaigns should call
+:func:`repro.robustness.supervisor.supervised_sweep` directly: the
+sweep is then journalled, resumable after a crash, retried per-config
+with backoff, and fail-soft — see ``docs/ROBUSTNESS.md``.
 """
 
+import collections
 import dataclasses
 
 from repro.core.mlpsim import simulate
@@ -69,13 +73,35 @@ class SweepResult:
         }
 
 
+def grid_pairs(machines):
+    """The ``(label, config)`` pairs of a sweep grid, as a list.
+
+    *machines* is an iterable of pairs or an ordered mapping.  Every
+    sweep route keys its results by label, so a repeated label raises
+    :class:`~repro.robustness.errors.ConfigError` up front rather than
+    letting one route keep the first config and another the last.
+    """
+    if hasattr(machines, "items"):
+        machines = machines.items()
+    pairs = list(machines)
+    counts = collections.Counter(label for label, _ in pairs)
+    repeated = [label for label, count in counts.items() if count > 1]
+    if repeated:
+        raise ConfigError(
+            f"sweep grid has duplicate labels {repeated!r}; every grid"
+            " point needs a unique label",
+            field="machines",
+        )
+    return pairs
+
+
 def _batched_usable(pairs):
     """Should this grid take the batched route?
 
     Only when some config is inside the compiled kernel's envelope: a
     grid of runahead machines, or any grid on a host without a C
     compiler, would only replay the scalar engine serially, so it takes
-    the scalar route and keeps its worker pool.  A grid with a
+    the scalar route and the supervisor's pool.  A grid with a
     non-``MachineConfig`` entry (tests inject stand-ins to exercise
     failure paths) routes to the scalar backends too, whose error
     contract such tests pin down.
@@ -110,13 +136,60 @@ def _sweep_batched(annotated, pairs, name, progress, n_jobs):
     return SweepResult(workload=name, results=results)
 
 
+def _grid_order_progress(pairs, progress):
+    """Wrap *progress* so completions are reported in grid order."""
+    pending = collections.deque(label for label, _ in pairs)
+    done = set()
+
+    def report(label):
+        done.add(label)
+        while pending and pending[0] in done:
+            progress(pending.popleft())
+
+    return report
+
+
+def _sweep_supervised(annotated, pairs, name, progress, n_jobs):
+    """Scalar-engine sweep at ``jobs>1``, on the supervisor's pool.
+
+    No journal and no retries; the serial cutover runs the grid on the
+    supervisor's serial backend instead.  A failing config raises a
+    :class:`SimulationError` carrying its label, attempt count and
+    elapsed time — the first failure in grid order once the rest of
+    the grid has drained.
+    """
+    from repro.analysis.parallel import serial_cutover
+    from repro.robustness.supervisor import (
+        SupervisorPolicy,
+        supervised_sweep,
+    )
+
+    if serial_cutover(n_jobs, len(pairs)):
+        n_jobs = 1
+    run = supervised_sweep(
+        annotated, pairs, workload=name, jobs=n_jobs,
+        policy=SupervisorPolicy(max_retries=0),
+        progress=(None if progress is None
+                  else _grid_order_progress(pairs, progress)),
+    )
+    failed = {dead.label: dead for dead in run.quarantined}
+    for label, _ in pairs:
+        if label in failed:
+            raise SimulationError(
+                f"sweep config {label!r} failed: {failed[label].error}",
+                field=label,
+            )
+    return SweepResult(workload=name, results=run.results)
+
+
 def sweep(annotated, machines, workload=None, progress=None, jobs=None,
-          supervise=None, engine="auto"):
+          engine="auto"):
     """Run MLPsim for every ``(label, machine)`` pair in *machines*.
 
-    *machines* is an iterable of pairs (an ordered mapping also works).
-    *progress*, if given, is called with each label as it completes —
-    the benchmark harness uses it for liveness output.
+    *machines* is an iterable of pairs (an ordered mapping also works);
+    labels must be unique.  *progress*, if given, is called with each
+    label as it completes, always in grid order — the benchmark
+    harness uses it for liveness output.
 
     *jobs* selects the number of worker processes: ``None`` defers to
     the ``REPRO_JOBS`` environment variable (defaulting to serial),
@@ -127,8 +200,8 @@ def sweep(annotated, machines, workload=None, progress=None, jobs=None,
     An automatic serial cutover (see
     :func:`repro.analysis.parallel.serial_cutover`) keeps ``jobs=N``
     from ever paying pool overhead a grid cannot amortise — on a
-    single-core machine or a tiny grid, ``jobs=4`` simply runs the
-    serial backend.
+    single-core machine or a one-config grid, ``jobs=4`` simply runs
+    serially.
 
     *engine* picks the simulation backend: ``"auto"`` (default) routes
     the grid through the config-batched compiled kernel
@@ -138,60 +211,28 @@ def sweep(annotated, machines, workload=None, progress=None, jobs=None,
     kernel's envelope; ``"batched"`` does the same (it is the explicit
     spelling); ``"scalar"`` forces the one-instruction-at-a-time
     interpreter everywhere.  Without a C compiler every engine takes
-    the scalar route.
-
-    *supervise* routes the sweep through the crash-safe supervisor
-    (:func:`repro.robustness.supervisor.supervised_sweep`): pass
-    ``True`` for default supervision or a dict of supervisor keyword
-    arguments (``journal_path``, ``resume``, ``policy``, ``seed``,
-    ``trace_len``, ``fault_plan``).  The return value is then a
-    :class:`~repro.robustness.supervisor.SupervisedSweepResult` — a
-    :class:`SweepResult` whose ``quarantined`` list carries any
-    dead-lettered configurations instead of raising.  Supervised
-    sweeps always use the scalar engine: per-config isolation is the
-    point of supervision, and batching configs into one kernel call
-    would couple their failure domains.
+    the scalar route.  A scalar-route grid at ``jobs>1`` runs one
+    config per task on the supervisor's pool
+    (:func:`repro.robustness.supervisor.supervised_sweep`); call that
+    directly for a journalled, resumable, retrying sweep.
     """
     if engine not in ENGINES:
         raise ConfigError(
             f"engine must be one of {ENGINES}, got {engine!r}",
             field="engine",
         )
-    if hasattr(machines, "items"):
-        machines = machines.items()
-    pairs = list(machines)
+    pairs = grid_pairs(machines)
     name = workload or annotated.trace.name
 
-    if supervise is not None and supervise is not False:
-        from repro.robustness.supervisor import supervised_sweep
-
-        options = {} if supervise is True else dict(supervise)
-        return supervised_sweep(
-            annotated, pairs, workload=name, jobs=jobs,
-            progress=progress, **options
-        )
-
-    from repro.analysis.parallel import (
-        parallel_sweep_results,
-        resolve_jobs,
-        serial_cutover,
-        serial_sweep_results,
-    )
+    from repro.analysis.parallel import resolve_jobs
 
     n_jobs = resolve_jobs(jobs)
 
     if engine != "scalar" and pairs and _batched_usable(pairs):
         return _sweep_batched(annotated, pairs, name, progress, n_jobs)
 
-    if n_jobs > 1 and len(pairs) > 1:
-        if serial_cutover(n_jobs, len(pairs)):
-            results = serial_sweep_results(annotated, pairs, name, progress)
-            return SweepResult(workload=name, results=results)
-        results = parallel_sweep_results(
-            annotated, pairs, name, progress, min(n_jobs, len(pairs))
-        )
-        if results is not None:
-            return SweepResult(workload=name, results=results)
+    if n_jobs > 1:
+        return _sweep_supervised(annotated, pairs, name, progress, n_jobs)
 
     results = {}
     for label, machine in pairs:
@@ -202,12 +243,13 @@ def sweep(annotated, machines, workload=None, progress=None, jobs=None,
 
 
 def sweep_cyclesim(annotated, configs, workload=None, progress=None,
-                   jobs=None, supervise=None):
+                   jobs=None):
     """Run the cycle simulator for every ``(label, config)`` pair.
 
     The cyclesim twin of :func:`sweep`: *configs* is an iterable of
-    ``(label, CycleSimConfig)`` pairs (or an ordered mapping), and the
-    result is a :class:`SweepResult` whose ``results`` map labels to
+    ``(label, CycleSimConfig)`` pairs (or an ordered mapping) with
+    unique labels, and the result is a :class:`SweepResult` whose
+    ``results`` map labels to
     :class:`~repro.cyclesim.metrics.CycleMetrics`.  This is how the
     Table 1/3/4 exhibits fan their 27-config-per-workload grids out.
 
@@ -220,25 +262,12 @@ def sweep_cyclesim(annotated, configs, workload=None, progress=None,
     runs still amortise the plan and the compiled kernel across the
     grid via :func:`repro.cyclesim.simulator.run_cycle_pairs`.  Without
     a C compiler the grid runs serially on the reference simulator.
-
-    *supervise* routes the grid through the same crash-safe supervisor
-    MLPsim sweeps use — journalled, resumable, retried, quarantined —
-    returning a ``SupervisedSweepResult``; cyclesim results round-trip
-    the journal exactly (``kind: "cyclesim"`` payloads).
+    For a journalled, resumable grid call
+    :func:`repro.robustness.supervisor.supervised_sweep` directly;
+    cyclesim results round-trip the journal exactly.
     """
-    if hasattr(configs, "items"):
-        configs = configs.items()
-    pairs = list(configs)
+    pairs = grid_pairs(configs)
     name = workload or annotated.trace.name
-
-    if supervise is not None and supervise is not False:
-        from repro.robustness.supervisor import supervised_sweep
-
-        options = {} if supervise is True else dict(supervise)
-        return supervised_sweep(
-            annotated, pairs, workload=name, jobs=jobs,
-            progress=progress, **options
-        )
 
     from repro.analysis.parallel import (
         cyclesim_parallel_sweep,
@@ -261,7 +290,7 @@ def sweep_cyclesim(annotated, configs, workload=None, progress=None,
                 progress(label)
         return SweepResult(workload=name, results=results)
 
-    if pairs and n_jobs > 1 and not serial_cutover(n_jobs, len(pairs)):
+    if pairs and not serial_cutover(n_jobs, len(pairs)):
         results = cyclesim_parallel_sweep(
             annotated, pairs, name, progress, min(n_jobs, len(pairs))
         )

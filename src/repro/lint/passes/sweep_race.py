@@ -1,24 +1,24 @@
 """sweep-race: process-pool workers must not mutate shared state.
 
-The parallel sweep backend (PR 2) forks workers that inherit the
-parent's modules copy-on-write.  A worker that stores to a module
-global, a class attribute or a closed-over mutable *appears* to work —
-each forked child updates its own copy — but the parent never sees the
-writes, so the "shared" accumulator is silently empty (and under the
+The sweep pools fork workers that inherit the parent's modules
+copy-on-write.  A worker that stores to a module global, a class
+attribute or a closed-over mutable *appears* to work — each forked
+child updates its own copy — but the parent never sees the writes, so the "shared" accumulator is silently empty (and under the
 ``spawn`` start method the same code races or pickles stale state).
 The only safe protocol is the one ``repro.analysis.parallel`` uses:
 workers receive arguments, return results, and the parent aggregates.
 
 This pass finds every function submitted to a pool — the first
 argument of ``.submit(f, ...)`` / ``.map(f, ...)`` / ``.starmap`` /
-``.imap`` / ``.apply_async`` calls — and checks, through the module
+``.imap`` / ``.apply_async`` calls, or a function passed to a module
+helper that submits that parameter — and checks, through the module
 call graph, that neither the worker nor any helper it transitively
 calls stores outside its local scope: no ``global`` assignment, no
 ``STATE[...] = ...`` / ``STATE.attr = ...`` on a module-level name, no
 ``SomeClass.attr = ...``, no ``shared.append(...)``-style in-place
 mutation of a closed-over or global container.
 
-Pool *initializers* (``ProcessPoolExecutor(initializer=...)``) are
+Pool *initializers* (a process pool's ``initializer=`` callable) are
 deliberately exempt: priming per-worker module state is their job.
 """
 
@@ -50,6 +50,39 @@ def _submitted_functions(tree):
     return submitted
 
 
+def _forwarded_workers(tree):
+    """``{function_name: call line}`` for workers handed to a pool helper.
+
+    A module-level function that submits one of its own parameters
+    (``def _run_chunks(run_chunk, ...): pool.submit(run_chunk, ...)``)
+    runs on the pool whatever its callers pass in that position, so
+    each such argument counts as submitted at the helper's call site.
+    """
+    helpers = {}
+    for func in tree.body:
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        params = [arg.arg for arg in func.args.posonlyargs + func.args.args]
+        for name in _submitted_functions(func):
+            if name in params:
+                helpers[func.name] = (params.index(name), name)
+    forwarded = {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in helpers):
+            continue
+        index, name = helpers[node.func.id]
+        if index < len(node.args):
+            passed = node.args[index]
+        else:
+            passed = next((kw.value for kw in node.keywords
+                           if kw.arg == name), None)
+        if isinstance(passed, ast.Name):
+            forwarded.setdefault(passed.id, node.lineno)
+    return forwarded
+
+
 @register
 class SweepRacePass(LintPass):
     id = "sweep-race"
@@ -60,6 +93,8 @@ class SweepRacePass(LintPass):
 
     def check_module(self, module, project):
         submitted = _submitted_functions(module.tree)
+        for worker, line in _forwarded_workers(module.tree).items():
+            submitted.setdefault(worker, line)
         if not submitted:
             return
         summaries = ModuleSummaries(module.tree)

@@ -1,8 +1,7 @@
 """Crash-safe supervised sweep execution.
 
-``repro.analysis.parallel`` (PR 2) made sweeps fast; this module makes
-them survivable.  A supervised sweep wraps both sweep backends — the
-serial loop and a self-managed worker pool — in a supervision layer
+A supervised sweep runs a labelled grid one config per task, on a
+serial loop or a self-managed worker pool, under a supervision layer
 that assumes *everything* can fail mid-flight:
 
 * every dispatch and completion is journalled (append-only, fsynced —
@@ -26,10 +25,15 @@ pool, and a ``BrokenProcessPool`` discards every queued future.  The
 supervisor manages ``multiprocessing`` processes directly — one task
 in flight per worker, a shared result queue, per-worker task queues —
 which is exactly the control needed to time out, kill and replace one
-worker while the rest keep simulating.  Trace sharing reuses the PR 2
-protocol (:func:`repro.analysis.parallel.share_annotated`): fork
-inherits the annotated trace copy-on-write; spawn platforms load a
-one-time ``.npz`` spill.
+worker while the rest keep simulating.  Workers get the annotated trace
+through :func:`share_annotated`: fork inherits it copy-on-write; spawn
+platforms load a one-time ``.npz`` spill.
+
+This pool is also the one :func:`repro.analysis.sweep.sweep` uses for
+scalar-engine grids at ``jobs>1`` (runahead machines, hosts without a
+C compiler): unjournalled, with no retries, so a failing config
+surfaces as a label-carrying
+:class:`~repro.robustness.errors.SimulationError`.
 
 Determinism: MLPsim is a pure function of ``(annotated, machine)``, so
 retries, worker replacement, resume-from-journal and serial
@@ -40,18 +44,16 @@ degradation all produce results bit-identical to a clean serial sweep
 import collections
 import contextlib
 import dataclasses
+import multiprocessing
 import os
 import queue as queue_module
 import signal
+import tempfile
 import threading
 import time
 
-from repro.analysis.parallel import (
-    resolve_jobs,
-    share_annotated,
-    unshare_annotated,
-)
-from repro.analysis.sweep import SweepResult
+from repro.analysis.parallel import resolve_jobs
+from repro.analysis.sweep import SweepResult, grid_pairs
 from repro.robustness.errors import ConfigError, SweepTimeout
 from repro.robustness.faults import ProcessFaultPlan
 from repro.robustness.journal import (
@@ -66,6 +68,60 @@ _POLL_SECONDS = 0.05
 
 #: Grace period for joining a worker we just killed.
 _KILL_JOIN_SECONDS = 5.0
+
+#: Annotated trace shared with workers.  Under the fork start method the
+#: parent sets it right before starting the pool and clears it after the
+#: sweep; forked children inherit the populated value copy-on-write.
+_WORKER_ANNOTATED = None
+
+
+def share_annotated(annotated):
+    """Publish *annotated* for worker processes; returns ``(ctx, spill)``.
+
+    Preferred path: the ``fork`` start method, with the trace parked in
+    the module global so children inherit it copy-on-write (``spill``
+    is ``None``).  Platforms without fork get the ``spawn`` context and
+    a temporary ``.npz`` spill each worker must load.  ``(None, None)``
+    means no multiprocessing context is usable at all and the caller
+    should run serially.  Balance every successful call with
+    :func:`unshare_annotated`.
+    """
+    global _WORKER_ANNOTATED
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:
+        ctx = None
+    if ctx is not None:
+        _WORKER_ANNOTATED = annotated
+        return ctx, None
+    spill_path = None
+    try:
+        from repro.trace.io import save_annotated
+
+        fd, spill_path = tempfile.mkstemp(
+            prefix="repro-sweep-", suffix=".npz"
+        )
+        os.close(fd)
+        save_annotated(annotated, spill_path)
+        return multiprocessing.get_context("spawn"), spill_path
+    except (OSError, ValueError):
+        if spill_path is not None:
+            try:
+                os.unlink(spill_path)
+            except OSError:
+                pass
+        return None, None
+
+
+def unshare_annotated(spill_path):
+    """Drop the shared trace and delete the spill archive, if any."""
+    global _WORKER_ANNOTATED
+    _WORKER_ANNOTATED = None
+    if spill_path is not None:
+        try:
+            os.unlink(spill_path)
+        except OSError:
+            pass
 
 
 @contextlib.contextmanager
@@ -266,14 +322,12 @@ def _worker_main(worker_id, task_queue, result_queue, spill_path,
     chaos schedules survive any start method.  A ``None`` task is the
     shutdown sentinel.
     """
-    from repro.analysis import parallel
-
     if spill_path is not None:
         from repro.trace.io import load_annotated
 
         annotated = load_annotated(spill_path)
     else:
-        annotated = parallel._WORKER_ANNOTATED
+        annotated = _WORKER_ANNOTATED
     plan = ProcessFaultPlan.parse(fault_spec)
     while True:
         item = task_queue.get()
@@ -561,6 +615,7 @@ def supervised_sweep(annotated, machines, workload=None, seed=None,
         Workload identity folded into each config's journal key
         (defaults: ``None`` and ``len(annotated.trace)``).  Pass the
         same values when resuming — the journal meta check enforces it.
+        Keys are computed only when a journal is open.
     journal_path:
         JSON-lines journal location.  Without it the sweep is still
         supervised (timeouts, retries, quarantine, worker replacement)
@@ -583,22 +638,14 @@ def supervised_sweep(annotated, machines, workload=None, seed=None,
     policy = policy if policy is not None else SupervisorPolicy()
     plan = fault_plan if fault_plan is not None \
         else ProcessFaultPlan.from_env()
-    if hasattr(machines, "items"):
-        machines = machines.items()
-    pairs = list(machines)
+    pairs = grid_pairs(machines)
     name = workload or annotated.trace.name
     if trace_len is None:
         trace_len = len(annotated.trace)
-    labels = [label for label, _ in pairs]
-    if len(set(labels)) != len(labels):
-        raise ConfigError(
-            "sweep grid has duplicate labels; every grid point needs a"
-            " unique label for journalling",
-            field="machines",
-        )
     tasks = [
         _Task(index, label, machine,
-              config_key(name, seed, trace_len, machine))
+              None if journal_path is None
+              else config_key(name, seed, trace_len, machine))
         for index, (label, machine) in enumerate(pairs)
     ]
 

@@ -197,15 +197,16 @@ class TestNumpyFallback:
         """``sweep(engine="auto", jobs=2)`` takes the scalar route and
         its worker pool, never a published plan."""
         monkeypatch.setattr(parallel, "effective_cpus", lambda: 2)
+        import repro.robustness.supervisor as supervisor
+
         pools = []
-        real_pool = parallel.parallel_sweep_results
+        real_pool = supervisor._run_pool
 
         def recording_pool(*args, **kwargs):
             pools.append(args[1])
             return real_pool(*args, **kwargs)
 
-        monkeypatch.setattr(parallel, "parallel_sweep_results",
-                            recording_pool)
+        monkeypatch.setattr(supervisor, "_run_pool", recording_pool)
         monkeypatch.setattr(
             parallel, "batched_parallel_sweep",
             lambda *args, **kwargs: pytest.fail("published a plan"),

@@ -397,6 +397,35 @@ class TestSweepRaceRegression:
         assert "ACCUMULATOR" in finding.message
         assert "line 12" in finding.message
 
+    def test_worker_passed_to_a_pool_helper_is_caught(self, tmp_path):
+        """A worker handed to a helper that submits its parameter runs
+        on the pool just the same, so its mutation is flagged with the
+        helper's call line."""
+        target = tmp_path / "src" / "repro" / "racy.py"
+        target.parent.mkdir(parents=True)
+        source = textwrap.dedent('''
+            from concurrent.futures import ProcessPoolExecutor
+
+            SEEN = set()
+
+            def worker(item):
+                SEEN.add(item)
+                return item
+
+            def run_all(run_one, items):
+                with ProcessPoolExecutor() as pool:
+                    return [pool.submit(run_one, i).result() for i in items]
+
+            def sweep(items):
+                return run_all(worker, items)
+        ''')
+        target.write_text(source)  # reprolint: disable=atomic-writes
+        findings = run_lint(tmp_path, select=["sweep-race"])
+        assert len(findings) == 1
+        assert findings[0].line == 7
+        assert "SEEN" in findings[0].message
+        assert "line 15" in findings[0].message
+
     def test_parent_side_aggregation_is_clean(self, tmp_path):
         target = tmp_path / "src" / "repro" / "clean.py"
         target.parent.mkdir(parents=True)

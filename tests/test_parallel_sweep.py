@@ -12,6 +12,7 @@ import dataclasses
 import pytest
 
 import repro.analysis.parallel as parallel
+import repro.robustness.supervisor as supervisor
 from repro.analysis.parallel import resolve_jobs
 from repro.analysis.sweep import sweep
 from repro.core.config import MachineConfig
@@ -131,13 +132,73 @@ class TestWorkerFailure:
     def test_serial_fallback_when_no_pool(self, specjbb_annotated,
                                           monkeypatch):
         """If no pool can be created the sweep silently runs serially."""
-        monkeypatch.setattr(parallel, "_make_pool",
-                            lambda annotated, jobs: (None, None))
+        monkeypatch.setattr(supervisor, "share_annotated",
+                            lambda annotated: (None, None))
         serial = sweep(specjbb_annotated, _grid(), jobs=1)
         fallback = sweep(specjbb_annotated, _grid(), jobs=4)
         for label in serial.labels():
             assert _result_fields(fallback.results[label]) == \
                 _result_fields(serial.results[label])
+
+
+class TestSupervisorPool:
+    """Scalar-route grids at ``jobs>1`` run on the supervisor's pool."""
+
+    def test_progress_in_grid_order(self, specjbb_annotated, monkeypatch):
+        monkeypatch.setattr(parallel, "effective_cpus", lambda: 2)
+        seen = []
+        result = sweep(specjbb_annotated, _grid(), jobs=2, engine="scalar",
+                       progress=seen.append)
+        assert seen == list(GRID_SPECS)
+        assert result.labels() == list(GRID_SPECS)
+
+    def test_killed_worker_names_its_label(self, specjbb_annotated,
+                                           monkeypatch):
+        """A worker SIGKILLed mid-sweep surfaces as a SimulationError
+        naming the config it was running, and no worker outlives the
+        sweep."""
+        import multiprocessing
+
+        monkeypatch.setattr(parallel, "effective_cpus", lambda: 2)
+        monkeypatch.setenv("REPRO_PROCESS_FAULTS", "kill:64C@1")
+        with pytest.raises(SimulationError) as excinfo:
+            sweep(specjbb_annotated, _grid(), jobs=2, engine="scalar")
+        assert excinfo.value.field == "64C"
+        assert "'64C'" in str(excinfo.value)
+        assert "attempt 1" in str(excinfo.value)
+        assert multiprocessing.active_children() == []
+
+
+class TestDuplicateLabels:
+    """Every sweep route rejects a repeated label the same way, instead
+    of each keeping a different one of the clashing configs."""
+
+    GRID = (("x", "16A"), ("x", "128C"), ("y", "64C"))
+
+    @pytest.mark.parametrize("engine", ["auto", "scalar"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_rejects_duplicates(self, specjbb_annotated, monkeypatch,
+                                      jobs, engine):
+        monkeypatch.setattr(parallel, "effective_cpus", lambda: 2)
+        grid = [(label, MachineConfig.named(spec))
+                for label, spec in self.GRID]
+        with pytest.raises(ConfigError) as excinfo:
+            sweep(specjbb_annotated, grid, jobs=jobs, engine=engine)
+        assert excinfo.value.field == "machines"
+        assert "'x'" in str(excinfo.value)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_cyclesim_rejects_duplicates(self, specjbb_annotated,
+                                               monkeypatch, jobs):
+        from repro.analysis.sweep import sweep_cyclesim
+        from repro.cyclesim.config import CycleSimConfig
+
+        monkeypatch.setattr(parallel, "effective_cpus", lambda: 2)
+        grid = [("x", CycleSimConfig()), ("x", CycleSimConfig(rob=128)),
+                ("y", CycleSimConfig())]
+        with pytest.raises(ConfigError) as excinfo:
+            sweep_cyclesim(specjbb_annotated, grid, jobs=jobs)
+        assert excinfo.value.field == "machines"
 
 
 class TestResolveJobs:

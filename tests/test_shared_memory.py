@@ -280,20 +280,3 @@ class TestSharding:
         costly = parallel.shard_pairs(pairs, 10.0, jobs=4)
         assert all(len(c) == 1 for c in costly)
         assert parallel.shard_pairs([], 0.1, jobs=4) == []
-
-    def test_journal_receives_incremental_results(self, specjbb_annotated,
-                                                  tmp_path):
-        from repro.robustness.journal import SweepJournal
-
-        journal_path = tmp_path / "sweep.jsonl"
-        journal = SweepJournal(str(journal_path))
-        journal.initialize("specjbb2000", 1234, None)
-        parallel.batched_parallel_sweep(
-            specjbb_annotated, _grid(), "specjbb2000",
-            progress=None, jobs=2, journal=journal, seed=1234,
-        )
-        contents = journal_path.read_text()
-        # Every config the pool ran (all but the calibration one, which
-        # the parent measures in-process) was flushed as it completed.
-        for label, _ in _grid()[1:]:
-            assert label in contents

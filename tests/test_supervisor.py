@@ -299,11 +299,11 @@ class TestSupervisedSerial:
         assert result.executed == len(GRID_SPECS) and result.resumed == 0
         _assert_matches_baseline(result, serial_baseline)
 
-    def test_supervise_kwarg_routes_through_sweep(self, small_annotated,
-                                                  serial_baseline):
-        result = sweep(
+    def test_supervised_sweep_without_journal(self, small_annotated,
+                                              serial_baseline):
+        result = supervised_sweep(
             small_annotated, _grid(), jobs=1,
-            supervise={"seed": 1234, "policy": self.POLICY},
+            seed=1234, policy=self.POLICY,
         )
         assert result.complete
         _assert_matches_baseline(result, serial_baseline)
