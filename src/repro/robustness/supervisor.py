@@ -23,10 +23,13 @@ The pool here is deliberately *not* ``ProcessPoolExecutor``: the
 executor cannot kill a single hung worker without abandoning the whole
 pool, and a ``BrokenProcessPool`` discards every queued future.  The
 supervisor manages ``multiprocessing`` processes directly — one task
-in flight per worker, a shared result queue, per-worker task queues —
-which is exactly the control needed to time out, kill and replace one
-worker while the rest keep simulating.  Workers get the annotated trace
-through :func:`share_annotated`: fork inherits it copy-on-write; spawn
+in flight per worker, each worker on a private pipe that carries its
+tasks out and its results back — which is exactly the control needed
+to time out, kill and replace one worker while the rest keep
+simulating.  Nothing is shared between workers: a worker killed in the
+middle of sending a result holds no lock another worker needs, and its
+pipe reads as closed.  Workers get the annotated trace through
+:func:`share_annotated`: fork inherits it copy-on-write; spawn
 platforms load a one-time ``.npz`` spill.
 
 This pool is also the one :func:`repro.analysis.sweep.sweep` uses for
@@ -45,8 +48,8 @@ import collections
 import contextlib
 import dataclasses
 import multiprocessing
+import multiprocessing.connection
 import os
-import queue as queue_module
 import signal
 import tempfile
 import threading
@@ -62,7 +65,7 @@ from repro.robustness.journal import (
     result_from_payload,
 )
 
-#: How long the pool loop blocks on the result queue per iteration;
+#: How long the pool loop waits on the worker pipes per iteration;
 #: also the granularity of deadline/death checks.
 _POLL_SECONDS = 0.05
 
@@ -283,13 +286,12 @@ class _Task:
 class _Worker:
     """Parent-side handle for one pool worker process."""
 
-    __slots__ = ("id", "process", "task_queue", "task", "deadline",
-                 "started")
+    __slots__ = ("id", "process", "conn", "task", "deadline", "started")
 
-    def __init__(self, worker_id, process, task_queue):
+    def __init__(self, worker_id, process, conn):
         self.id = worker_id
         self.process = process
-        self.task_queue = task_queue
+        self.conn = conn
         self.task = None
         self.deadline = None
         self.started = None
@@ -312,15 +314,15 @@ def _simulate_config(annotated, machine, workload):
     return simulate(annotated, machine, workload=workload)
 
 
-def _worker_main(worker_id, task_queue, result_queue, spill_path,
-                 fault_spec, workload):
+def _worker_main(conn, spill_path, fault_spec, workload):
     """Sweep worker loop: take a task, simulate, return the result.
 
-    Runs in a child process.  The annotated trace arrives either
-    copy-on-write through the module global (fork) or from the spilled
-    archive (spawn).  The fault plan re-parses from its spec string so
-    chaos schedules survive any start method.  A ``None`` task is the
-    shutdown sentinel.
+    Runs in a child process; *conn* is its end of the pipe to the
+    parent.  The annotated trace arrives either copy-on-write through
+    the module global (fork) or from the spilled archive (spawn).  The
+    fault plan re-parses from its spec string so chaos schedules
+    survive any start method.  A ``None`` task (or a closed pipe) is
+    the shutdown sentinel.
     """
     if spill_path is not None:
         from repro.trace.io import load_annotated
@@ -330,7 +332,10 @@ def _worker_main(worker_id, task_queue, result_queue, spill_path,
         annotated = _WORKER_ANNOTATED
     plan = ProcessFaultPlan.parse(fault_spec)
     while True:
-        item = task_queue.get()
+        try:
+            item = conn.recv()
+        except EOFError:
+            return
         if item is None:
             return
         task_index, label, machine, attempt = item
@@ -338,12 +343,11 @@ def _worker_main(worker_id, task_queue, result_queue, spill_path,
             plan.apply_in_worker(label, attempt)
             result = _simulate_config(annotated, machine, workload)
         except Exception as exc:
-            result_queue.put(
-                (worker_id, task_index, False,
-                 f"{type(exc).__name__}: {exc}")
+            conn.send(
+                (task_index, False, f"{type(exc).__name__}: {exc}")
             )
         else:
-            result_queue.put((worker_id, task_index, True, result))
+            conn.send((task_index, True, result))
 
 
 class _SweepState:
@@ -441,16 +445,23 @@ def _run_serial(annotated, tasks, state):
                 break
 
 
-def _spawn_worker(ctx, worker_id, result_queue, spill_path, state):
-    task_queue = ctx.SimpleQueue()
+def _spawn_worker(ctx, worker_id, spill_path, state):
+    conn, child_conn = ctx.Pipe()
     process = ctx.Process(
         target=_worker_main,
-        args=(worker_id, task_queue, result_queue, spill_path,
-              state.plan.spec, state.workload),
+        args=(child_conn, spill_path, state.plan.spec, state.workload),
         daemon=True,
     )
-    process.start()
-    return _Worker(worker_id, process, task_queue)
+    try:
+        process.start()
+    except BaseException:
+        conn.close()
+        raise
+    finally:
+        # Only the worker keeps the child end, so its death reads as
+        # EOF on ours.
+        child_conn.close()
+    return _Worker(worker_id, process, conn)
 
 
 def _shutdown_pool(workers):
@@ -458,7 +469,7 @@ def _shutdown_pool(workers):
     for worker in workers.values():
         if worker.process.is_alive():
             try:
-                worker.task_queue.put(None)
+                worker.conn.send(None)
             except (OSError, ValueError):
                 pass
     for worker in workers.values():
@@ -466,6 +477,7 @@ def _shutdown_pool(workers):
         if worker.process.is_alive():
             worker.process.kill()
             worker.process.join(timeout=_KILL_JOIN_SECONDS)
+        worker.conn.close()
 
 
 def _run_pool(annotated, tasks, state, n_jobs):
@@ -480,7 +492,6 @@ def _run_pool(annotated, tasks, state, n_jobs):
     ctx, spill_path = share_annotated(annotated)
     if ctx is None:
         return tasks
-    result_queue = ctx.Queue()
     workers = {}
     next_worker_id = 0
     waiting = collections.deque(tasks)
@@ -489,7 +500,7 @@ def _run_pool(annotated, tasks, state, n_jobs):
         try:
             for _ in range(min(n_jobs, len(tasks))):
                 workers[next_worker_id] = _spawn_worker(
-                    ctx, next_worker_id, result_queue, spill_path, state
+                    ctx, next_worker_id, spill_path, state
                 )
                 next_worker_id += 1
         except OSError:
@@ -501,6 +512,7 @@ def _run_pool(annotated, tasks, state, n_jobs):
             worker.task = None
             state.worker_replacements += 1
             del workers[worker.id]
+            worker.conn.close()
             if task is not None:
                 inflight.pop(task.index, None)
                 if state.fail(task, error, elapsed):
@@ -529,26 +541,31 @@ def _run_pool(annotated, tasks, state, n_jobs):
                     if policy.config_timeout is not None else None
                 )
                 inflight[task.index] = task
-                worker.task_queue.put(
-                    (task.index, task.label, task.machine, task.attempts)
-                )
-            # Collect one completion (or time out and police the pool).
-            try:
-                worker_id, task_index, ok, payload = result_queue.get(
-                    timeout=_POLL_SECONDS
-                )
-            except queue_module.Empty:
-                pass
-            else:
+                try:
+                    worker.conn.send(
+                        (task.index, task.label, task.machine,
+                         task.attempts)
+                    )
+                except OSError:
+                    pass  # the worker is dead; the police pass recovers
+
+            # Collect completions (or time out and police the pool).
+            by_conn = {worker.conn: worker for worker in workers.values()}
+            for conn in multiprocessing.connection.wait(
+                list(by_conn), timeout=_POLL_SECONDS
+            ):
+                worker = by_conn[conn]
+                try:
+                    task_index, ok, payload = conn.recv()
+                except (EOFError, OSError):
+                    # The worker died; the police pass below recovers
+                    # its task once the process is reaped.
+                    worker.process.join(timeout=_KILL_JOIN_SECONDS)
+                    continue
                 task = inflight.pop(task_index, None)
-                worker = workers.get(worker_id)
-                if worker is not None and worker.task is not None \
-                        and worker.task.index == task_index:
-                    elapsed = time.monotonic() - worker.started
-                    worker.task = None
-                    worker.deadline = None
-                else:
-                    elapsed = 0.0
+                elapsed = time.monotonic() - worker.started
+                worker.task = None
+                worker.deadline = None
                 if task is not None:
                     if ok:
                         state.complete(task, payload, elapsed)
@@ -586,8 +603,7 @@ def _run_pool(annotated, tasks, state, n_jobs):
             while len(workers) < min(n_jobs, len(waiting) + len(inflight)):
                 try:
                     workers[next_worker_id] = _spawn_worker(
-                        ctx, next_worker_id, result_queue, spill_path,
-                        state,
+                        ctx, next_worker_id, spill_path, state
                     )
                     next_worker_id += 1
                 except OSError:
@@ -598,8 +614,6 @@ def _run_pool(annotated, tasks, state, n_jobs):
         return []
     finally:
         _shutdown_pool(workers)
-        result_queue.close()
-        result_queue.join_thread()
         unshare_annotated(spill_path)
 
 

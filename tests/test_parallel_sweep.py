@@ -8,6 +8,11 @@ that failed.
 """
 
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -23,6 +28,34 @@ GRID_SPECS = ("16A", "64A", "64C", "64E", "128C")
 
 def _grid():
     return [(spec, MachineConfig.named(spec)) for spec in GRID_SPECS]
+
+
+#: Sweeps that each SIGKILL the worker picking up ``64C``.  That worker
+#: has just sent a result, so the kill can land while it still holds
+#: whatever the send took; a pool with a lock shared between workers
+#: then wedges within a few sweeps.
+_REPEATED_KILLS = textwrap.dedent("""
+    import os
+    import repro.analysis.parallel as parallel
+    from repro.analysis.sweep import sweep
+    from repro.core.config import MachineConfig
+    from repro.robustness.errors import SimulationError
+    from repro.trace.annotate import annotate
+    from repro.workloads import generate_trace
+
+    os.environ["REPRO_PROCESS_FAULTS"] = "kill:64C@1"
+    parallel.effective_cpus = lambda: 2
+    annotated = annotate(generate_trace("specjbb2000", 20000))
+    grid = [(spec, MachineConfig.named(spec))
+            for spec in ("16A", "64A", "64C", "64E", "128C")]
+    for _ in range(25):
+        try:
+            sweep(annotated, grid, jobs=2, engine="scalar")
+        except SimulationError as exc:
+            assert exc.field == "64C", exc
+        else:
+            raise AssertionError("the killed worker went unnoticed")
+""")
 
 
 def _result_fields(result):
@@ -167,6 +200,22 @@ class TestSupervisorPool:
         assert "'64C'" in str(excinfo.value)
         assert "attempt 1" in str(excinfo.value)
         assert multiprocessing.active_children() == []
+
+    def test_repeated_kills_never_wedge_the_pool(self):
+        """A worker killed right after sending a result must not leave
+        the surviving workers unable to send theirs.  Runs in a child
+        process so a wedged pool fails on the timeout instead of hanging
+        the suite."""
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _REPEATED_KILLS],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestDuplicateLabels:
