@@ -232,8 +232,9 @@ def batched_parallel_sweep(annotated, pairs, workload, progress, jobs):
     lost workers.
     """
     from repro.analysis.shm import publish_plan, unpublish_plan
-    from repro.core.batched import batched_supported, simulate_batched
+    from repro.core.batched import batched_supported
     from repro.core.columnar import mask_key, plan_for
+    from repro.core.mlpsim import simulate
 
     groups = {}
     scalar_pairs = []
@@ -250,17 +251,12 @@ def batched_parallel_sweep(annotated, pairs, workload, progress, jobs):
         # group; the result is kept, so calibration is free work.
         first_label, first_machine = next(iter(groups.values())).pop(0)
         results[first_label], cost = measure_config_cost(
-            lambda: simulate_batched(
-                annotated, first_machine, workload=workload,
-                _validate=False,
-            )
+            lambda: simulate(annotated, first_machine, workload=workload)
         )
 
     def run_scalar():
         return {
-            label: simulate_batched(
-                annotated, machine, workload=workload, _validate=False
-            )
+            label: simulate(annotated, machine, workload=workload)
             for label, machine in scalar_pairs
         }
 

@@ -234,9 +234,12 @@ def sweep(annotated, machines, workload=None, progress=None, jobs=None,
     if n_jobs > 1:
         return _sweep_supervised(annotated, pairs, name, progress, n_jobs)
 
+    from repro.core.mlpsim import simulate_scalar
+
+    run = simulate_scalar if engine == "scalar" else simulate
     results = {}
     for label, machine in pairs:
-        results[label] = simulate(annotated, machine, workload=name)
+        results[label] = run(annotated, machine, workload=name)
         if progress is not None:
             progress(label)
     return SweepResult(workload=name, results=results)

@@ -599,10 +599,13 @@ def build_parser():
     p.add_argument("--engine", choices=("scalar", "auto", "batched"),
                    default="scalar",
                    help="simulation backend: 'scalar' (default) runs"
-                   " the supervised per-config interpreter;"
-                   " 'auto'/'batched' run the config-batched columnar"
-                   " engine — bit-identical results, ~10x faster on"
-                   " full grids, but without journal/retry supervision")
+                   " every config on the Python interpreter under the"
+                   " supervisor; 'auto'/'batched' run configs inside"
+                   " the compiled kernel's envelope there, grouped per"
+                   " event mask, and the rest on the interpreter —"
+                   " bit-identical results, ~10x faster on full grids,"
+                   " but without journal/retry supervision (without a"
+                   " C compiler every engine is the interpreter)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("exhibit", help="regenerate paper tables/figures")

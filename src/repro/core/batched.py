@@ -1,20 +1,21 @@
 """Batched MLPsim: many machine configurations per pass over one trace.
 
 This engine produces :class:`~repro.core.results.MLPResult`s that are
-**bit-identical** to :func:`repro.core.mlpsim.simulate` (and therefore
-to the frozen reference interpreter).  A config grid is split into
-event-mask groups (configs whose perfect-* and value-prediction
-switches agree, see :func:`repro.core.columnar.mask_key`); each group
-shares one :class:`~repro.core.columnar.ColumnarPlan` and one call of
-the compiled kernel (:mod:`repro.core.ckernel`), which simulates every
-config of the group against the shared columns.
+**bit-identical** to the scalar engine (and therefore to the frozen
+reference interpreter).  A config grid is split into event-mask groups
+(configs whose perfect-* and value-prediction switches agree, see
+:func:`repro.core.columnar.mask_key`); each group shares one
+:class:`~repro.core.columnar.ColumnarPlan` and one call of the compiled
+kernel (:mod:`repro.core.ckernel`), which simulates every config of the
+group against the shared columns.  :func:`repro.core.mlpsim.simulate`
+takes the same route for a single config.
 
 The kernel is the only fast path.  Configurations outside its envelope
-— runahead machines and ``record_sets`` runs — and every configuration
-on a host without a working C toolchain run on the scalar engine,
-which the equivalence suite pins to the reference.  Entry points that
-hold the annotated trace (:func:`simulate_batched`,
-:func:`simulate_batch`) therefore accept every machine config;
+(:func:`batched_supported`) — runahead machines, ``record_sets`` runs,
+configs outside the kernel contract — and every configuration on a host
+without a working C toolchain run on the scalar engine, which the
+equivalence suite pins to the reference.  :func:`simulate_batch`, which
+holds the annotated trace, therefore accepts every machine config;
 :func:`simulate_plan`, which holds only a plan, needs the kernel.
 """
 
@@ -26,38 +27,20 @@ from repro.robustness.errors import SimulationError
 def batched_supported(machine, record_sets=False):
     """Can *machine* run on the compiled kernel (vs the scalar engine)?
 
-    The kernel models every configuration except runahead machines and
-    ``record_sets`` runs; without a working C toolchain nothing is in
-    the envelope.
+    The kernel models every configuration except runahead machines,
+    ``record_sets`` runs and configs whose kernel fields fall outside
+    the ranges :data:`~repro.core.columnar.PLAN_CONTRACT` certifies
+    (a ROB of ``1 << 25``, say); without a working C toolchain nothing
+    is in the envelope.
     """
     if machine.runahead or record_sets:
         return False
-    from repro.core.ckernel import kernel_available
+    from repro.core.ckernel import _config_struct, kernel_available
+    from repro.core.columnar import config_contract_error
 
-    return kernel_available()
-
-
-def simulate_batched(annotated, machine, start=None, stop=None,
-                     workload=None, record_sets=False, _validate=True):
-    """Drop-in :func:`repro.core.mlpsim.simulate` on the batched engine.
-
-    Returns a bit-identical :class:`MLPResult`; configurations outside
-    the kernel's envelope (see :func:`batched_supported`) run on the
-    scalar engine, so every machine config is accepted.
-    """
-    if _validate:
-        from repro.robustness.validate import validate_annotated
-
-        validate_annotated(annotated, check_events=False)
-    if not batched_supported(machine, record_sets):
-        return simulate(
-            annotated, machine, start=start, stop=stop,
-            workload=workload, record_sets=record_sets,
-        )
-    plan = plan_for(annotated, machine, start, stop)
-    return simulate_plan(
-        plan, machine, workload=workload or annotated.trace.name
-    )
+    return kernel_available() and config_contract_error(
+        _config_struct(machine)
+    ) is None
 
 
 def simulate_batch(annotated, machines, start=None, stop=None,
@@ -68,8 +51,10 @@ def simulate_batch(annotated, machines, start=None, stop=None,
     mapping also works).  In-envelope configs sharing an event-mask key
     share one columnar plan and one kernel call, so the per-trace
     preparation cost is paid once per mask group rather than once per
-    config; the rest run on the scalar engine.  Results come back in
-    grid order.  *progress* is called with each label as it completes.
+    config.  The rest go through :func:`~repro.core.mlpsim.simulate`,
+    which applies the same envelope test and so runs them on the
+    scalar engine.  Results come back in grid order.  *progress* is
+    called with each label as it completes.
     """
     from repro.core.ckernel import run_plan
     from repro.core.columnar import mask_key

@@ -13,8 +13,11 @@ machine configuration** whose perfect-* and value-prediction switches
 produce the same event masks — the config grid of a sweep typically
 collapses to a handful of mask groups, so the per-trace preparation cost
 is amortised across the whole grid.  Plans are memoised on the annotated
-trace object (like the dependence graph and the interpreter tables) and
-their raw columns can be spilled to / restored from flat array payloads
+trace object, per region and mask key; the columns that depend on the
+trace alone (``ops``, the producer columns, the ``is_*`` masks) come
+from a read-only per-trace memo, so every annotation of one trace
+shares them, like the dependence graph they are derived from.  Their
+raw columns can be spilled to / restored from flat array payloads
 for zero-copy hand-off to sweep worker processes (see
 :mod:`repro.analysis.shm`).
 
@@ -163,14 +166,31 @@ def validate_plan_contract(plan, configs):
                     f" the kernel contract requires [{lo_v}, {hi_v}]"
                 )
     for config in configs:
-        for field, (lo, hi) in PLAN_CONTRACT["config"].items():
-            value = int(getattr(config, field))
-            lo_v, hi_v = contract_bound(lo, n), contract_bound(hi, n)
-            if value < lo_v or value > hi_v:
-                raise InternalError(
-                    f"kernel config field {field!r} = {value} outside"
-                    f" the contracted range [{lo_v}, {hi_v}]"
-                )
+        error = config_contract_error(config, n)
+        if error is not None:
+            raise InternalError(error)
+
+
+def config_contract_error(config, n=0):
+    """Why a kernel config breaks :data:`PLAN_CONTRACT`, or ``None``.
+
+    *config* is a ``_KernelConfig`` (see
+    :func:`repro.core.ckernel._config_struct`); *n* is the region
+    length, which a ``[symbol, offset]`` config bound would name (every
+    config bound is a constant today).  Shared by
+    :func:`validate_plan_contract` and the envelope test
+    :func:`repro.core.batched.batched_supported`, so a config the
+    kernel would refuse is sent to the scalar engine up front.
+    """
+    for field, (lo, hi) in PLAN_CONTRACT["config"].items():
+        value = int(getattr(config, field))
+        lo_v, hi_v = contract_bound(lo, n), contract_bound(hi, n)
+        if value < lo_v or value > hi_v:
+            return (
+                f"kernel config field {field!r} = {value} outside"
+                f" the contracted range [{lo_v}, {hi_v}]"
+            )
+    return None
 
 
 def mask_key(machine):
@@ -249,10 +269,11 @@ def build_plan(annotated, machine, start, stop):
 
     Only the mask key of *machine* matters; window sizes, issue policy
     and structure limits are applied by the engine at run time, which is
-    what makes the plan shareable across a config grid.
+    what makes the plan shareable across a config grid.  Only the event
+    columns and ``scalar_mask`` are built here; the rest are the shared
+    read-only columns of :func:`_trace_columns`.
     """
-    n = stop - start
-    trace = annotated.trace
+    columns, static_scalar = _trace_columns(annotated, start, stop)
 
     (dmiss, imiss, mispred, pmiss, pfuseful, vp_ok) = _event_arrays(
         annotated, machine, start, stop
@@ -264,18 +285,49 @@ def build_plan(annotated, machine, start, stop):
     pfuseful = np.ascontiguousarray(pfuseful)
     vp_ok = np.ascontiguousarray(vp_ok)
     smiss = np.ascontiguousarray(np.asarray(annotated.smiss[start:stop]))
-    ops = np.ascontiguousarray(trace.op[start:stop])
 
+    # Positions the scalar interpreter must handle: every off-chip
+    # event plus the trace's own scalar positions.
+    scalar_mask = dmiss | imiss | pmiss | smiss | static_scalar
+
+    return ColumnarPlan(
+        start=start, stop=stop,
+        dmiss=dmiss, imiss=imiss, mispred=mispred,
+        pmiss=pmiss, pfuseful=pfuseful, vp_ok=vp_ok, smiss=smiss,
+        scalar_mask=scalar_mask,
+        **columns,
+    )
+
+
+def _trace_columns(annotated, start, stop):
+    """The plan columns no annotation or machine changes, for
+    ``annotated.trace[start:stop)``.
+
+    Returns ``(columns, static_scalar)``: the ``ops``, producer and
+    ``is_*`` columns by name, and the positions every plan's
+    ``scalar_mask`` includes whatever the events — serializing
+    instructions, and result-less ops that name a destination (their
+    never-assigned result slot must keep its reference-engine
+    behaviour).  Built once per trace and region, memoised on the trace
+    object and marked read-only, so every annotation of one trace (the
+    L2 sizes of Figure 7, say) shares them.
+    """
+    trace = annotated.trace
+    cache = getattr(trace, "_plan_column_cache", None)
+    if cache is None:
+        cache = {}
+        trace._plan_column_cache = cache
+    entry = cache.get((start, stop))
+    if entry is not None:
+        return entry
+
+    n = stop - start
+    ops = np.ascontiguousarray(trace.op[start:stop])
     graph = depgraph_for(annotated, start, stop)
-    prod1 = _sentineled(graph.prod1, n)
-    prod2 = _sentineled(graph.prod2, n)
-    prod3 = _sentineled(graph.prod3, n)
-    memdep = _sentineled(graph.memdep, n)
 
     is_load = ops == int(OpClass.LOAD)
     is_store = ops == int(OpClass.STORE)
     is_branch = ops == int(OpClass.BRANCH)
-    is_memop = is_load | is_store
 
     serialize_ops = (
         (ops == int(OpClass.CAS))
@@ -288,25 +340,23 @@ def build_plan(annotated, machine, start, stop):
         | (ops == int(OpClass.PREFETCH))
     )
     dst_named = trace.dst[start:stop] > REG_ZERO
+    static_scalar = serialize_ops | (resultless_ops & dst_named)
 
-    # Positions the scalar interpreter must handle: every off-chip or
-    # serializing event plus result-less ops whose (never-assigned)
-    # result slot must keep its reference-engine behaviour.
-    scalar_mask = (
-        dmiss | imiss | pmiss | smiss | serialize_ops
-        | (resultless_ops & dst_named)
-    )
-
-    return ColumnarPlan(
-        start=start, stop=stop,
-        ops=ops,
-        prod1=prod1, prod2=prod2, prod3=prod3, memdep=memdep,
-        dmiss=dmiss, imiss=imiss, mispred=mispred,
-        pmiss=pmiss, pfuseful=pfuseful, vp_ok=vp_ok, smiss=smiss,
-        is_load=is_load, is_store=is_store, is_branch=is_branch,
-        is_memop=is_memop,
-        scalar_mask=scalar_mask,
-    )
+    columns = {
+        "ops": ops,
+        "prod1": _sentineled(graph.prod1, n),
+        "prod2": _sentineled(graph.prod2, n),
+        "prod3": _sentineled(graph.prod3, n),
+        "memdep": _sentineled(graph.memdep, n),
+        "is_load": is_load,
+        "is_store": is_store,
+        "is_branch": is_branch,
+        "is_memop": is_load | is_store,
+    }
+    for array in (*columns.values(), static_scalar):
+        array.setflags(write=False)
+    entry = cache[(start, stop)] = (columns, static_scalar)
+    return entry
 
 
 def _sentineled(producers, n):

@@ -4,9 +4,10 @@ MLPsim needs, for every dynamic instruction, the *producer* of each of
 its register sources (the most recent older writer of that register) and
 its memory dependence (the most recent older store-like instruction to
 the same address).  These are properties of the trace alone — they do
-not depend on the machine configuration — so they are computed once per
-trace region and shared by every simulation over it (parameter sweeps
-re-run MLPsim dozens of times per trace).
+not depend on the machine configuration or on the annotation — so they
+are computed once per trace region and shared by every simulation over
+every annotation of that trace (parameter sweeps re-run MLPsim dozens
+of times per trace).
 
 Producer indices are region-relative; ``-1`` means "no producer inside
 the region" (the value is architected state and therefore available from
@@ -98,16 +99,19 @@ def build_depgraph(trace, start, stop):
 def depgraph_for(annotated, start, stop):
     """Return the (memoised) dependence graph for a region of *annotated*.
 
-    The graph is cached on the annotated trace object because sweeps
-    simulate the same region under many machine configurations.
+    The graph depends on the trace alone, so it is cached on
+    ``annotated.trace``: every annotation of one trace (the L2 sizes of
+    Figure 7, say) and every machine configuration simulated over it
+    share one graph per region.
     """
-    cache = getattr(annotated, "_depgraph_cache", None)
+    trace = annotated.trace
+    cache = getattr(trace, "_depgraph_cache", None)
     if cache is None:
         cache = {}
-        annotated._depgraph_cache = cache
+        trace._depgraph_cache = cache
     key = (start, stop)
     graph = cache.get(key)
     if graph is None:
-        graph = build_depgraph(annotated.trace, start, stop)
+        graph = build_depgraph(trace, start, stop)
         cache[key] = graph
     return graph

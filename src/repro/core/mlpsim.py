@@ -38,11 +38,20 @@ cannot redirect fetch and still terminates the window.
 The rules were fixed against the paper's worked Examples 1-5, which are
 unit-tested verbatim in ``tests/test_paper_examples.py``.
 
-Performance structure (see ``docs/PERFORMANCE.md``):
+Engine tiers (see ``docs/PERFORMANCE.md``): :func:`simulate` serves
+every configuration inside the compiled kernel's envelope
+(:func:`repro.core.batched.batched_supported`) from
+:func:`repro.core.ckernel.run_plan` over the memoised columnar plan of
+the region, and everything else — runahead machines, ``record_sets``
+runs, configs outside the kernel contract, hosts without a C compiler
+— from :func:`simulate_scalar`, the Python interpreter below.  Both
+tiers return bit-identical :class:`MLPResult`s.
 
-* the ``execute`` scan closures are created once per :func:`simulate`
-  call, not once per epoch, and dependence lookups are inlined into
-  the per-opcode branches;
+Performance structure of the scalar engine:
+
+* the ``execute`` scan closures are created once per
+  :func:`simulate_scalar` call, not once per epoch, and dependence
+  lookups are inlined into the per-opcode branches;
 * event masks and dependence columns are flattened to plain lists once
   up front (numpy scalar indexing is an order of magnitude slower in
   the interpreter loop);
@@ -117,15 +126,54 @@ def simulate(annotated, machine, start=None, stop=None, workload=None,
              record_sets=False):
     """Functional entry point; see :class:`MLPSim`.
 
+    Configurations inside the compiled kernel's envelope run there
+    (one :func:`~repro.core.ckernel.run_plan` call over the region's
+    memoised columnar plan); every other configuration, and every
+    region longer than the kernel contract's ``n_max``, runs on
+    :func:`simulate_scalar`.  The result is bit-identical either way.
+
     The annotated input is structurally validated (mask dtypes and
     lengths, ``vp_outcome`` codes, ``measure_start`` range) before the
     engine runs; a malformed annotation raises
     :class:`~repro.robustness.errors.TraceFormatError` instead of
     silently producing wrong MLP numbers.
     """
+    from repro.core.batched import batched_supported
+    from repro.core.ckernel import run_plan
+    from repro.core.columnar import PLAN_CONTRACT, plan_for
     from repro.robustness.validate import validate_annotated
 
     validate_annotated(annotated, check_events=False)
+    start, stop = resolve_region(annotated, start, stop)
+    if (not batched_supported(machine, record_sets)
+            or stop - start > PLAN_CONTRACT["n_max"]):
+        return _simulate_scalar(
+            annotated, machine, start, stop, workload, record_sets
+        )
+    plan = plan_for(annotated, machine, start, stop)
+    name = workload or annotated.trace.name
+    return run_plan(plan, [("_", machine)], name)["_"]
+
+
+def simulate_scalar(annotated, machine, start=None, stop=None,
+                    workload=None, record_sets=False):
+    """:func:`simulate` on the Python engines, whatever the config.
+
+    Runahead machines go to :func:`repro.core.runahead.simulate_runahead`,
+    every other machine to the optimised out-of-order interpreter.
+    Callers that promise the scalar engine (``sweep(engine="scalar")``,
+    the supervisor's per-config tasks) call this directly.
+    """
+    from repro.robustness.validate import validate_annotated
+
+    validate_annotated(annotated, check_events=False)
+    return _simulate_scalar(
+        annotated, machine, start, stop, workload, record_sets
+    )
+
+
+def _simulate_scalar(annotated, machine, start, stop, workload,
+                     record_sets):
     if machine.runahead:
         from repro.core.runahead import simulate_runahead
 
@@ -223,9 +271,10 @@ def _interp_tables(annotated, machine, start, stop):
     destination register is kept interesting so its (never-assigned)
     ``res_data`` slot behaves exactly as in the reference interpreter.
 
-    The tables are cached on the annotated object (like the dependence
-    graph) because sweeps and repeated runs simulate the same region
-    under many machine configurations; only the machine's perfect-*
+    The tables are cached on the annotated object (the dependence
+    graph, which depends on the trace alone, is cached on the trace)
+    because sweeps and repeated runs simulate the same region under
+    many machine configurations; only the machine's perfect-*
     and value-prediction switches change their content.  Callers must
     not mutate the returned lists — the engine copies ``imiss``, the
     one table it services in place.

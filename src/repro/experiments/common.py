@@ -188,6 +188,14 @@ def _store_cached_annotation(path, annotated):
 def get_annotated(name, trace_len=None, l2_bytes=None, seed=DEFAULT_SEED):
     """Return the (memoised) annotated trace for one workload.
 
+    *l2_bytes* overrides the L2 capacity; the default capacity itself
+    is the same annotation as ``None`` (one memo key, one archive).
+    Every annotation of one ``(name, trace_len, seed)`` holds the same
+    :class:`~repro.trace.trace.Trace` object, also when it comes from
+    the disk cache, so the work that depends on the trace alone (the
+    dependence graph, the trace columns of a kernel plan) is done once
+    per trace, not once per annotation.
+
     Raises
     ------
     repro.robustness.errors.ConfigError
@@ -203,13 +211,17 @@ def get_annotated(name, trace_len=None, l2_bytes=None, seed=DEFAULT_SEED):
             f"trace_len must be a positive integer, got {trace_len!r}",
             field="trace_len",
         )
+    if l2_bytes == HierarchyConfig().l2.size_bytes:
+        l2_bytes = None
     key = (name, trace_len, l2_bytes, seed)
     cached = _annotation_cache.get(key)
     if cached is not None:
         return cached
     disk_path = _cache_path(name, trace_len, l2_bytes, seed)
     annotated = _load_cached_annotation(disk_path)
-    if annotated is None:
+    if annotated is not None:
+        _share_trace(annotated, (name, trace_len, seed))
+    else:
         trace = _get_trace(name, trace_len, seed)
         hierarchy = HierarchyConfig()
         if l2_bytes is not None:
@@ -221,6 +233,20 @@ def get_annotated(name, trace_len=None, l2_bytes=None, seed=DEFAULT_SEED):
 
 
 _trace_cache = {}
+
+
+def _share_trace(annotated, key):
+    """Point a loaded annotation at the one trace held for *key*.
+
+    The first trace seen for *key* (generated, or loaded from an
+    archive) is the one held; a later archive's trace is replaced by it
+    only when the two are equal in name and every column, so an archive
+    whose trace differs keeps its own.
+    """
+    held = _trace_cache.setdefault(key, annotated.trace)
+    if held is not annotated.trace and held.name == annotated.trace.name \
+            and held == annotated.trace:
+        annotated.trace = held
 
 
 def _get_trace(name, trace_len, seed):

@@ -303,15 +303,17 @@ def _simulate_config(annotated, machine, workload):
     A supervised sweep carries either MLPsim
     :class:`~repro.core.config.MachineConfig` entries or cyclesim
     :class:`~repro.cyclesim.config.CycleSimConfig` entries; both ride
-    the same journal, retry and quarantine machinery.
+    the same journal, retry and quarantine machinery.  MLPsim configs
+    run on the scalar engine, one config per task, as a scalar sweep
+    promises.
     """
-    from repro.core.mlpsim import simulate
+    from repro.core.mlpsim import simulate_scalar
     from repro.cyclesim.config import CycleSimConfig
     from repro.cyclesim.simulator import run_cyclesim
 
     if isinstance(machine, CycleSimConfig):
         return run_cyclesim(annotated, machine, workload=workload)
-    return simulate(annotated, machine, workload=workload)
+    return simulate_scalar(annotated, machine, workload=workload)
 
 
 def _worker_main(conn, spill_path, fault_spec, workload):

@@ -24,11 +24,11 @@ import repro.core.ckernel as ckernel
 from repro.core.batched import (
     batched_supported,
     simulate_batch,
-    simulate_batched,
     simulate_plan,
 )
 from repro.core.columnar import plan_for
 from repro.core.config import MachineConfig
+from repro.core.mlpsim import simulate
 from repro.core.mlpsim_reference import simulate_reference
 from repro.robustness.errors import InternalError
 
@@ -128,7 +128,7 @@ class TestFullGridKernel:
         for label in ("16A", "64C", "256E", "64B"):
             machine = _machine(label)
             for name, annotated in all_annotated.items():
-                fast = simulate_batched(annotated, machine, workload=name)
+                fast = simulate(annotated, machine, workload=name)
                 oracle = simulate_reference(annotated, machine,
                                             workload=name)
                 assert _result_fields(fast) == _result_fields(oracle), \
@@ -163,8 +163,8 @@ class TestNumpyFallback:
         assert not batched_supported(machine)
         oracle = simulate_reference(specjbb_annotated, machine,
                                     workload="specjbb2000")
-        fast = simulate_batched(specjbb_annotated, machine,
-                                workload="specjbb2000")
+        fast = simulate(specjbb_annotated, machine,
+                        workload="specjbb2000")
         batch = simulate_batch(specjbb_annotated, [("64C-vp", machine)],
                                workload="specjbb2000")
         assert _result_fields(fast) == _result_fields(oracle)

@@ -6,6 +6,9 @@ memoised interpreter tables); ``repro.core.mlpsim_reference`` is the
 verbatim pre-optimization engine kept as a correctness oracle.  Every
 optimization must be behaviour-preserving: full ``MLPResult`` equality,
 per-epoch membership equality, and identical failure behaviour.
+The suite calls :func:`~repro.core.mlpsim.simulate_scalar`, because
+``simulate`` serves in-envelope configs from the compiled kernel on
+hosts with a C compiler.
 """
 
 import dataclasses
@@ -13,7 +16,7 @@ import dataclasses
 import pytest
 
 from repro.cli import _parse_machine
-from repro.core.mlpsim import simulate
+from repro.core.mlpsim import simulate_scalar
 from repro.core.mlpsim_reference import simulate_reference
 
 MACHINE_SPECS = (
@@ -45,7 +48,7 @@ def test_results_bit_identical(all_annotated, spec):
     """Every MLPResult field matches the oracle on every workload."""
     machine = _parse_machine(spec)
     for name, annotated in all_annotated.items():
-        fast = simulate(annotated, machine)
+        fast = simulate_scalar(annotated, machine)
         oracle = simulate_reference(annotated, machine)
         assert _result_fields(fast) == _result_fields(oracle), (name, spec)
 
@@ -54,7 +57,7 @@ def test_epoch_records_identical(specjbb_annotated):
     """record_sets epochs (trigger, members, inhibitor) match exactly."""
     for spec in ("16A", "64C", "64E"):
         machine = _parse_machine(spec)
-        fast = simulate(specjbb_annotated, machine, record_sets=True)
+        fast = simulate_scalar(specjbb_annotated, machine, record_sets=True)
         oracle = simulate_reference(specjbb_annotated, machine,
                                     record_sets=True)
         fast_epochs = [
@@ -75,7 +78,8 @@ def test_subregion_results_identical(database_annotated):
     machine = _parse_machine("64C")
     start = database_annotated.measure_start
     for stop in (start + 5_000, start + 20_000):
-        fast = simulate(database_annotated, machine, start=start, stop=stop)
+        fast = simulate_scalar(database_annotated, machine,
+                               start=start, stop=stop)
         oracle = simulate_reference(database_annotated, machine,
                                     start=start, stop=stop)
         assert _result_fields(fast) == _result_fields(oracle), stop
@@ -84,8 +88,8 @@ def test_subregion_results_identical(database_annotated):
 def test_repeated_runs_are_stable(specweb_annotated):
     """Memoised interpreter tables must not leak state between runs."""
     machine = _parse_machine("64C")
-    first = simulate(specweb_annotated, machine)
-    second = simulate(specweb_annotated, machine)
+    first = simulate_scalar(specweb_annotated, machine)
+    second = simulate_scalar(specweb_annotated, machine)
     assert _result_fields(first) == _result_fields(second)
 
 
@@ -96,7 +100,7 @@ def test_zero_store_buffer_parity(database_annotated):
     machine = _parse_machine("64C:store_buffer=0")
     fast_error = oracle_error = None
     try:
-        simulate(database_annotated, machine)
+        simulate_scalar(database_annotated, machine)
     except RuntimeError as exc:
         fast_error = str(exc)
     try:

@@ -6,16 +6,26 @@ paper-shape assertions on calibrated traces live in
 ``test_integration.py``; the full-size runs live in ``benchmarks/``.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.core.columnar import plan_for
+from repro.core.config import MachineConfig
+from repro.core.depgraph import depgraph_for
 from repro.experiments import EXHIBITS, run_exhibit
 from repro.experiments.common import (
+    DEFAULT_SEED,
     Exhibit,
     WORKLOAD_NAMES,
+    _cache_path,
     clear_caches,
     default_trace_len,
     get_annotated,
 )
+from repro.memory.hierarchy import HierarchyConfig
+from repro.trace.io import save_annotated
+from repro.trace.trace import Trace
 
 SMALL = 30000
 
@@ -41,6 +51,11 @@ class TestCommon:
         a = get_annotated("specjbb2000", SMALL)
         b = get_annotated("specjbb2000", SMALL, l2_bytes=512 * 1024)
         assert a is not b
+
+    def test_default_l2_size_is_the_default_annotation(self):
+        default = HierarchyConfig().l2.size_bytes
+        assert get_annotated("specjbb2000", SMALL, l2_bytes=default) \
+            is get_annotated("specjbb2000", SMALL)
 
     def test_exhibit_formatting(self):
         ex = Exhibit(
@@ -193,3 +208,50 @@ class TestExhibitStructure:
         for row in rows:
             assert row[1 + rae_index - 0] == row[headers.index("RAE")]
             assert row[headers.index("RAE")] > -0.5
+
+
+class TestTraceSharing:
+    """Every annotation of one trace holds one ``Trace`` object, also
+    after a disk round trip, so the dependence graph and the trace
+    columns of a kernel plan are built once per trace."""
+
+    LEN = 8_000
+    L2 = 512 * 1024
+
+    @pytest.fixture
+    def disk_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        clear_caches()
+        yield
+        clear_caches()
+
+    def test_disk_hits_share_trace_and_depgraph(self, disk_cache):
+        get_annotated("database", self.LEN)
+        get_annotated("database", self.LEN, l2_bytes=self.L2)
+        clear_caches()  # the next two come from the archives
+        a = get_annotated("database", self.LEN)
+        b = get_annotated("database", self.LEN, l2_bytes=self.L2)
+        assert a is not b
+        assert a.trace is b.trace
+        region = (a.measure_start, len(a.trace))
+        assert depgraph_for(a, *region) is depgraph_for(b, *region)
+        machine = MachineConfig()
+        plan_a, plan_b = plan_for(a, machine), plan_for(b, machine)
+        assert plan_a is not plan_b
+        for name in ("ops", "prod1", "prod2", "prod3", "memdep",
+                     "is_load", "is_store", "is_branch", "is_memop"):
+            assert getattr(plan_a, name) is getattr(plan_b, name), name
+            assert not getattr(plan_a, name).flags.writeable, name
+
+    def test_archive_with_a_different_trace_keeps_it(self, disk_cache):
+        a = get_annotated("database", self.LEN)
+        columns = a.trace.columns()
+        columns["value"] = columns["value"] + 1
+        other = Trace(columns, name=a.trace.name)
+        save_annotated(
+            dataclasses.replace(a, trace=other),
+            _cache_path("database", self.LEN, self.L2, DEFAULT_SEED),
+        )
+        b = get_annotated("database", self.LEN, l2_bytes=self.L2)
+        assert b.trace is not a.trace
+        assert b.trace == other
